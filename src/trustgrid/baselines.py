@@ -9,7 +9,6 @@ scores level by level. Both feed the usual mean-centered weighted prediction.
 from __future__ import annotations
 
 import math
-import weakref
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -29,30 +28,6 @@ class MoleScores:
     source: int
     horizon: int
     scores: dict[int, float] = field(default_factory=dict)
-
-
-_adjacency_cache = weakref.WeakKeyDictionary()
-
-
-def _positive_adjacency(dataset: Dataset) -> dict[int, list[tuple[int, float]]]:
-    # negative trust does not conduct a search path; cached per dataset since
-    # every query rebuilds the same structure
-    cached = _adjacency_cache.get(dataset)
-    if cached is not None:
-        return cached[0]
-    adj: dict[int, list[tuple[int, float]]] = {}
-    radj: dict[int, list[tuple[int, float]]] = {}
-    for s, t, v in dataset.trust_edge_list():
-        if v > 0.0:
-            adj.setdefault(s, []).append((t, v))
-            radj.setdefault(t, []).append((s, v))
-    _adjacency_cache[dataset] = (adj, radj)
-    return adj
-
-
-def _positive_reverse_adjacency(dataset: Dataset) -> dict[int, list[tuple[int, float]]]:
-    _positive_adjacency(dataset)
-    return _adjacency_cache[dataset][1]
 
 
 def _bfs_distances(adj, start):
@@ -80,7 +55,7 @@ def tidal_trust_infer(source: int, sink: int, dataset: Dataset,
     """
     if source == sink:
         raise ValueError("source and sink must differ")
-    adj = _positive_adjacency(dataset)
+    adj = dataset.trust_adjacency.positive_out
     dist, expansions = _bfs_distances(adj, source)
     if _counter is not None:
         _counter[0] += expansions
@@ -88,7 +63,7 @@ def tidal_trust_infer(source: int, sink: int, dataset: Dataset,
         return None
     depth = dist[sink]
 
-    rdist, expansions = _bfs_distances(_positive_reverse_adjacency(dataset), sink)
+    rdist, expansions = _bfs_distances(dataset.trust_adjacency.positive_in, sink)
     if _counter is not None:
         _counter[0] += expansions
 
@@ -142,7 +117,7 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
     """
     counter = [0]
     raters = dataset.item_raters(item)
-    adj = _positive_adjacency(dataset)
+    adj = dataset.trust_adjacency.positive_out
 
     # breadth-first search for the closest raters
     dist = {source: 0}
@@ -195,12 +170,8 @@ def mole_trust_scores(source: int, dataset: Dataset, horizon: int = 3) -> MoleSc
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    adj: dict[int, list[tuple[int, float]]] = {}
-    for s, t, v in dataset.trust_edge_list():
-        adj.setdefault(s, []).append((t, v))
-
-    dist, _ = _bfs_distances(
-        {u: [(v, w) for v, w in nbrs] for u, nbrs in adj.items()}, source)
+    adj = dataset.trust_adjacency.out
+    dist, _ = _bfs_distances(adj, source)
     levels: dict[int, list[int]] = {}
     for u, d in dist.items():
         if 0 < d <= horizon:

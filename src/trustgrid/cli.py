@@ -126,6 +126,7 @@ def _load(args):
 def _network_state(args, dataset, config):
     if args.snapshot:
         try:
+            ingest.check_snapshot_config(args.snapshot, config)
             state = ingest.load_snapshot(args.snapshot)
             log.info("loaded snapshot %s (round %d)", args.snapshot, state.round)
             return state

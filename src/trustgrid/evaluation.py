@@ -203,8 +203,15 @@ def _evaluate_record(dataset, state, method, horizon, record):
     user, item, actual = record
     predicted, depth, recall = _predict_one(dataset, state, method, horizon,
                                             user, item)
-    avg = baselines.simple_average(item, dataset, exclude=user)
-    cf = baselines.correlation_cf_predict(user, item, dataset, exclude_item=item)
+    # delta_a/delta_cf baselines; reuse the prediction when the method is one
+    if method == "avg":
+        avg = predicted
+    else:
+        avg = baselines.simple_average(item, dataset, exclude=user)
+    if method == "cf":
+        cf = predicted
+    else:
+        cf = baselines.correlation_cf_predict(user, item, dataset, exclude_item=item)
     return HeldOutResult(
         user=user, item=item, actual=actual, predicted=predicted,
         depth=depth, rating_recall=recall,

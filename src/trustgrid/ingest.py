@@ -29,6 +29,10 @@ class VersionError(TrustgridError):
     pass
 
 
+class StaleSnapshotError(TrustgridError):
+    """A snapshot was built with other propagation settings than this run's."""
+
+
 def _data_lines(stream):
     for line_no, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -236,15 +240,34 @@ def save_snapshot(state: NetworkState, path, config=None) -> None:
                 fh.write(f"{owner} {target} {e.trust!r} {e.origin} {e.hops}\n")
 
 
+def _read_header(fh, path) -> dict[str, str]:
+    """The `key=value` fields of a snapshot's first line."""
+    header = fh.readline().split()
+    if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
+        raise VersionError(f"{path}: not a trustgrid snapshot")
+    if header[1] != SNAPSHOT_VERSION:
+        raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
+    return dict(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+
+
+def check_snapshot_config(path, config) -> None:
+    """Refuse a snapshot whose header records another damping or storage
+    threshold than `config`; `na` (saved without a config) matches any."""
+    with open(path, encoding="utf-8") as fh:
+        meta = _read_header(fh, path)
+    for key, value in (("lambda", config.damping),
+                       ("threshold", config.store_threshold)):
+        saved = meta.get(key, "na")
+        if saved != "na" and float(saved) != value:
+            raise StaleSnapshotError(
+                f"{path}: snapshot was built with {key}={saved}, "
+                f"but this run uses {key}={value!r}")
+
+
 def load_snapshot(path) -> NetworkState:
     """Reload a snapshot written by save_snapshot; round-trip is bit-exact."""
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
-            raise VersionError(f"{path}: not a trustgrid snapshot")
-        if header[1] != SNAPSHOT_VERSION:
-            raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
-        meta = dict(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+        meta = _read_header(fh, path)
         tables: dict[int, TrustTable] = {}
         for line_no, line in _data_lines(fh):
             fields = line.split()

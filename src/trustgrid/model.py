@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 RATING_MIN = 1
 RATING_MAX = 5
@@ -51,6 +53,14 @@ class TrustEdge:
             raise ValueError(f"trust value {self.value!r} outside [-1,1]")
         if self.source < 0 or self.target < 0:
             raise ValueError("user ids must be non-negative")
+
+
+class TrustAdjacency(NamedTuple):
+    """A Dataset's trust edges as (neighbour, value) lists sorted by neighbour."""
+
+    out: dict[int, list[tuple[int, float]]]           # source -> every target
+    positive_out: dict[int, list[tuple[int, float]]]  # source -> targets, value > 0
+    positive_in: dict[int, list[tuple[int, float]]]   # target -> sources, value > 0
 
 
 @dataclass(slots=True)
@@ -159,6 +169,23 @@ class Dataset:
         return [(s, t, v)
                 for s in sorted(self._trust_out)
                 for t, v in sorted(self._trust_out[s].items())]
+
+    @cached_property
+    def trust_adjacency(self) -> TrustAdjacency:
+        """Out- and in-lists of the trust graph, built on first use and
+        shared read-only by every caller.
+
+        Propagation and the search baselines all walk these lists; building
+        them from the sorted edge list fixes every walk's (and every float
+        sum's) order.
+        """
+        adjacency = TrustAdjacency({}, {}, {})
+        for s, t, v in self.trust_edge_list():
+            adjacency.out.setdefault(s, []).append((t, v))
+            if v > 0.0:
+                adjacency.positive_out.setdefault(s, []).append((t, v))
+                adjacency.positive_in.setdefault(t, []).append((s, v))
+        return adjacency
 
     def rating_list(self) -> list[tuple[int, int, int]]:
         """All ratings as (user, item, value), sorted for determinism."""

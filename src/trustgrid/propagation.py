@@ -5,11 +5,16 @@ round a node reads only its positively-trusted direct neighbors' tables from
 the previous round and recomputes damped weighted-average trust values for
 every target those tables mention. Rounds repeat until the largest value
 change drops below a tolerance.
+
+Direct trust is immutable input: a node finds its neighbors and their weights
+in the Dataset's trust adjacency, never in its own table. A table's direct
+entries are a view of that input, kept for snapshots and query_trust; only
+inferred entries change from round to round.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import Dataset, UnknownUserError
 
@@ -60,12 +65,36 @@ class NetworkState:
 
 def init_network(dataset: Dataset) -> NetworkState:
     """One table per user, holding exactly the user's direct edges (hops=1)."""
+    out = dataset.trust_adjacency.out
     tables = {}
     for user in sorted(dataset.users):
-        entries = {t: TrustEntry(t, v, DIRECT, 1)
-                   for t, v in sorted(dataset.trust_neighbors(user).items())}
+        entries = {t: TrustEntry(t, v, DIRECT, 1) for t, v in out.get(user, ())}
         tables[user] = TrustTable(user, entries)
     return NetworkState(tables)
+
+
+def _weighted_average(neighbours, y, tables, damping):
+    """Damped weighted average of what x's neighbours' tables say about y.
+
+    `neighbours` lists x's positive direct (i, trust(x, i)) edges in ascending
+    i, which fixes the float summation order. Returns (value, hops), hops
+    being one more than the fewest among the contributing entries, or None
+    when no neighbour's table holds y.
+    """
+    num = 0.0
+    den = 0.0
+    min_hops = None
+    for i, w in neighbours:
+        reported = tables[i].entries.get(y)
+        if reported is None:
+            continue
+        num += w * damping * reported.trust
+        den += w
+        if min_hops is None or reported.hops < min_hops:
+            min_hops = reported.hops
+    if den == 0.0:
+        return None
+    return num / den, 1 + min_hops
 
 
 def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
@@ -76,88 +105,58 @@ def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
     table holds an entry for y (direct or inferred, signed values included).
     Returns None when no neighbor can report on y.
     """
-    num = 0.0
-    den = 0.0
-    for i, entry in tables[x].entries.items():
-        if entry.origin != DIRECT or entry.trust <= 0.0:
-            continue
-        reported = tables[i].entries.get(y)
-        if reported is None:
-            continue
-        num += entry.trust * damping * reported.trust
-        den += entry.trust
-    if den == 0.0:
-        return None
-    return num / den
+    neighbours = [(i, e.trust) for i, e in tables[x].entries.items()
+                  if e.origin == DIRECT and e.trust > 0.0]
+    result = _weighted_average(neighbours, y, tables, damping)
+    return None if result is None else result[0]
 
 
-def _recompute_pair(x, y, tables, config):
-    """Inferred entry for (x, y) from round-k tables, or None if not storable."""
-    num = 0.0
-    den = 0.0
-    min_hops = None
-    for i, entry in tables[x].entries.items():
-        if entry.origin != DIRECT or entry.trust <= 0.0:
-            continue
-        reported = tables[i].entries.get(y)
-        if reported is None:
-            continue
-        num += entry.trust * config.damping * reported.trust
-        den += entry.trust
-        if min_hops is None or reported.hops < min_hops:
-            min_hops = reported.hops
-    if den == 0.0:
-        return None
-    value = num / den
-    if value >= config.store_threshold or value < 0.0:
-        return TrustEntry(y, value, INFERRED, 1 + min_hops)
-    return None
-
-
-def _candidate_pairs(state: NetworkState) -> set[tuple[int, int]]:
-    """All (x, y) pairs eligible for inference: y appears in some positively
-    trusted direct neighbor's table, y != x, and y is not x's direct neighbor."""
+def _dependents(dataset: Dataset, entries) -> set[tuple[int, int]]:
+    """Pairs (x, y) whose inference reads one of the table entries (i, y):
+    x trusts i directly and positively, y != x, and y is not x's direct
+    neighbor (direct entries are never inferred)."""
+    positive_in = dataset.trust_adjacency.positive_in
+    direct = {x: dataset.trust_neighbors(x) for x in dataset.users}
     pairs = set()
-    for x, table in state.tables.items():
-        direct = {t for t, e in table.entries.items() if e.origin == DIRECT}
-        for i, entry in table.entries.items():
-            if entry.origin != DIRECT or entry.trust <= 0.0:
-                continue
-            for y in state.tables[i].entries:
-                if y != x and y not in direct:
-                    pairs.add((x, y))
-        # previously inferred targets stay under recomputation even if they
-        # dropped out of every neighbor table
-        for y, entry in table.entries.items():
-            if entry.origin == INFERRED:
+    for i, y in entries:
+        for x, _ in positive_in.get(i, ()):
+            if y != x and y not in direct[x]:
                 pairs.add((x, y))
     return pairs
 
 
-def _apply_round(state: NetworkState, config: PropagationConfig, pairs):
+def _apply_round(state: NetworkState, dataset: Dataset,
+                 config: PropagationConfig, pairs):
     """Synchronously recompute `pairs` against round-k tables; returns the
     round-(k+1) state plus (max_change, entries_added, changed_pairs)."""
     tables = state.tables
+    positive_out = dataset.trust_adjacency.positive_out
     updates: dict[int, dict[int, TrustEntry | None]] = {}
     max_change = 0.0
     entries_added = 0
     changed: set[tuple[int, int]] = set()
 
     for x, y in pairs:
-        new = _recompute_pair(x, y, tables, config)
+        new = _weighted_average(positive_out.get(x, ()), y, tables,
+                                config.damping)
+        if new is not None and 0.0 <= new[0] < config.store_threshold:
+            new = None  # too weak to store
         old = tables[x].entries.get(y)
-        if old is not None and old.origin == DIRECT:
-            continue  # direct entries are authoritative, never recomputed
-        if old is None and new is None:
+        if old is None:
+            if new is None:
+                continue
+            entries_added += 1
+            change = abs(new[0])
+        elif new is None:
+            change = abs(old.trust)
+        elif new == (old.trust, old.hops):
             continue
-        if old is not None and new is not None and old == new:
-            continue
-        change = abs((old.trust if old else 0.0) - (new.trust if new else 0.0))
+        else:
+            change = abs(old.trust - new[0])
         if change > max_change:
             max_change = change
-        if old is None and new is not None:
-            entries_added += 1
-        updates.setdefault(x, {})[y] = new
+        updates.setdefault(x, {})[y] = (
+            None if new is None else TrustEntry(y, new[0], INFERRED, new[1]))
         changed.add((x, y))
 
     new_tables = {}
@@ -177,6 +176,15 @@ def _apply_round(state: NetworkState, config: PropagationConfig, pairs):
     return next_state, max_change, entries_added, changed
 
 
+def _candidate_pairs(state: NetworkState, dataset: Dataset) -> set[tuple[int, int]]:
+    """The pairs reading any table entry, plus every inferred entry: those
+    stay under recomputation even after dropping out of all neighbor tables."""
+    entries = [(i, y) for i, table in state.tables.items() for y in table.entries]
+    inferred = {(x, y) for x, table in state.tables.items()
+                for y, e in table.entries.items() if e.origin == INFERRED}
+    return _dependents(dataset, entries) | inferred
+
+
 def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     """One full synchronous round; every node recomputes every candidate target.
 
@@ -185,7 +193,7 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     appearing/disappearing entries count as change from/to 0.
     """
     next_state, max_change, entries_added, _ = _apply_round(
-        state, config, sorted(_candidate_pairs(state)))
+        state, dataset, config, sorted(_candidate_pairs(state, dataset)))
     return next_state, max_change, entries_added
 
 
@@ -201,27 +209,14 @@ def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> Netw
     if config.max_rounds == 0:
         return state
 
-    # reverse positive adjacency: who reads node i's table
-    readers: dict[int, list[int]] = {}
-    for x in state.tables:
-        for i, v in dataset.trust_neighbors(x).items():
-            if v > 0.0:
-                readers.setdefault(i, []).append(x)
-
-    pairs = sorted(_candidate_pairs(state))
+    pairs = sorted(_candidate_pairs(state, dataset))
     for _ in range(config.max_rounds):
-        state, max_change, _, changed = _apply_round(state, config, pairs)
+        state, max_change, _, changed = _apply_round(state, dataset, config, pairs)
         if max_change <= config.tolerance:
             state.converged = True
             break
-        dirty = set()
-        for i, y in changed:
-            for x in readers.get(i, ()):
-                if y != x and dataset.direct_trust(x, y) is None:
-                    dirty.add((x, y))
-            # the pair itself stays live: its entry may need re-removal
-            dirty.add((i, y))
-        pairs = sorted(dirty)
+        # a changed pair itself stays live: its entry may need re-removal
+        pairs = sorted(_dependents(dataset, changed) | changed)
     return state
 
 

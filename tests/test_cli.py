@@ -1,8 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
 from trustgrid.cli import main
+from trustgrid.ingest import load_dataset, save_snapshot
+from trustgrid.propagation import PropagationConfig, propagate
 
 
 @pytest.fixture()
@@ -123,3 +126,50 @@ def test_evaluate_proposed_with_snapshot_cache(tmp_path, capsys):
         assert code == 0
         assert "method=proposed" in capsys.readouterr().out
     assert snap.exists()
+
+
+def test_snapshot_with_other_settings_is_data_error(small_dataset, tmp_path,
+                                                    caplog, capsys):
+    _, trust = small_dataset
+    snap = tmp_path / "net.snap"
+    assert main(["propagate", "--trust", str(trust), "--lambda", "0.5",
+                 "--snapshot", str(snap)]) == 0
+    query = ["trust", "--trust", str(trust), "--source", "0", "--target", "2",
+             "--snapshot", str(snap)]
+    assert main(query) == 2
+    assert "lambda=0.5" in caplog.text
+    caplog.clear()
+    assert main(query + ["--lambda", "0.5", "--threshold", "0.6"]) == 2
+    assert "threshold=0.7" in caplog.text and "lambda" not in caplog.text
+    assert main(query + ["--lambda", "0.5"]) == 0
+
+
+def test_snapshot_without_config_loads(small_dataset, tmp_path, capsys):
+    _, trust = small_dataset
+    snap = tmp_path / "net.snap"
+    state = propagate(load_dataset(None, str(trust)), PropagationConfig(damping=0.5))
+    save_snapshot(state, snap)
+    assert "lambda=na threshold=na" in snap.read_text().splitlines()[0]
+    assert main(["trust", "--trust", str(trust), "--source", "0", "--target", "2",
+                 "--snapshot", str(snap)]) == 0
+    assert "origin=direct" in capsys.readouterr().out
+
+
+# sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
+# converges in 50 rounds); an ulp of drift in the propagation kernel shows here
+GOLDEN_SNAPSHOTS = [
+    (["--users", "60", "--items", "180"],
+     "d5cbe8c18395e2a4957ceacad92d072598d654a7aeb38bd40a5a58fb2d23d6bf"),
+    (["--users", "50", "--items", "150", "--mode", "uniform_signed"],
+     "f1ed04ee00d1ee67f5abaafc4b8cf577d2d6fe1ab17ca819d22d04d6b9ba514c"),
+]
+
+
+@pytest.mark.parametrize("synth_args, digest", GOLDEN_SNAPSHOTS,
+                         ids=["binary", "uniform_signed"])
+def test_propagate_snapshot_golden_bytes(synth_args, digest, tmp_path, capsys):
+    r, t, snap = tmp_path / "r.txt", tmp_path / "t.txt", tmp_path / "net.snap"
+    assert main(["synth", *synth_args, "--seed", "6",
+                 "--out-ratings", str(r), "--out-trust", str(t)]) == 0
+    assert main(["propagate", "--trust", str(t), "--snapshot", str(snap)]) == 0
+    assert hashlib.sha256(snap.read_bytes()).hexdigest() == digest
