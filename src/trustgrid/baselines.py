@@ -9,7 +9,6 @@ scores level by level. Both feed the usual mean-centered weighted prediction.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .model import Dataset, NoRatingsError, RATING_MAX, RATING_MIN
@@ -30,22 +29,34 @@ class MoleScores:
     scores: dict[int, float] = field(default_factory=dict)
 
 
-def _bfs_distances(adj, start):
+def _bfs_distances(adj, start, max_depth=None, targets=frozenset()):
+    """Breadth-first distances from `start` over `adj`, level by level.
+
+    The search stops after `max_depth` levels, or after the first level that
+    reaches a node in `targets`; the nodes of that last level are reached but
+    never expanded. Returns (dist, expansions), expansions being the number
+    of nodes whose out-list was read.
+    """
     dist = {start: 0}
-    queue = deque([start])
+    frontier = [start]
+    depth = 0
     expansions = 0
-    while queue:
-        u = queue.popleft()
-        expansions += 1
-        for v, _ in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
+    while frontier and depth != max_depth:
+        depth += 1
+        reached = []
+        for u in frontier:
+            for v, _ in adj.get(u, ()):
+                if v not in dist:
+                    dist[v] = depth
+                    reached.append(v)
+        expansions += len(frontier)
+        frontier = reached
+        if not targets.isdisjoint(frontier):
+            break
     return dist, expansions
 
 
-def tidal_trust_infer(source: int, sink: int, dataset: Dataset,
-                      _counter: list | None = None) -> float | None:
+def tidal_trust_infer(source: int, sink: int, dataset: Dataset) -> float | None:
     """Inferred trust from source to sink along minimum-depth paths.
 
     The threshold `max` is the strongest shortest path, where path strength is
@@ -56,16 +67,24 @@ def tidal_trust_infer(source: int, sink: int, dataset: Dataset,
     if source == sink:
         raise ValueError("source and sink must differ")
     adj = dataset.trust_adjacency.positive_out
-    dist, expansions = _bfs_distances(adj, source)
-    if _counter is not None:
-        _counter[0] += expansions
+    dist, _ = _bfs_distances(adj, source, targets={sink})
     if sink not in dist:
         return None
-    depth = dist[sink]
+    return _path_trust(source, sink, dist, dataset)[0]
 
-    rdist, expansions = _bfs_distances(dataset.trust_adjacency.positive_in, sink)
-    if _counter is not None:
-        _counter[0] += expansions
+
+def _path_trust(source, sink, dist, dataset):
+    """TidalTrust's recursive average from source to a reachable sink.
+
+    `dist` holds the forward BFS distances from source, exact up to
+    dist[sink]. The backward search from the sink stops at that depth, since
+    no node further away lies on a minimum-depth path. Returns (trust or
+    None, backward expansions).
+    """
+    adj = dataset.trust_adjacency.positive_out
+    depth = dist[sink]
+    rdist, expansions = _bfs_distances(dataset.trust_adjacency.positive_in,
+                                       sink, max_depth=depth)
 
     # nodes lying on some minimum-depth path
     on_dag = {u for u in dist
@@ -105,7 +124,7 @@ def tidal_trust_infer(source: int, sink: int, dataset: Dataset,
                     den += w
             if den > 0.0:
                 trust[u] = num / den
-    return trust.get(source)
+    return trust.get(source), expansions
 
 
 def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResult:
@@ -113,42 +132,28 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
 
     The source's own rating is never used. queries_issued counts BFS node
     expansions, mirroring the per-recommendation query cost of the original
-    algorithm.
+    algorithm: one forward search that stops at the depth of the closest
+    raters, then one backward search from each of those raters, bounded by
+    the same depth.
     """
-    counter = [0]
     raters = dataset.item_raters(item)
     adj = dataset.trust_adjacency.positive_out
 
-    # breadth-first search for the closest raters
-    dist = {source: 0}
-    queue = deque([source])
-    found_depth = None
-    at_depth = []
-    while queue:
-        u = queue.popleft()
-        counter[0] += 1
-        if found_depth is not None and dist[u] >= found_depth:
-            break
-        for v, _ in adj.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                if v != source and v in raters:
-                    if found_depth is None:
-                        found_depth = dist[v]
-                    if dist[v] == found_depth:
-                        at_depth.append(v)
-                queue.append(v)
-
-    if found_depth is None:
-        return TidalResult(None, -1, set(), counter[0])
+    # breadth-first search for the closest raters; the path DP reuses it
+    dist, queries = _bfs_distances(adj, source, targets=raters.keys())
+    at_depth = sorted(u for u in raters if u != source and u in dist)
+    if not at_depth:
+        return TidalResult(None, -1, set(), queries)
+    found_depth = dist[at_depth[0]]
 
     trusts = {}
-    for rater in sorted(at_depth):
-        t = tidal_trust_infer(source, rater, dataset, _counter=counter)
+    for rater in at_depth:
+        t, expansions = _path_trust(source, rater, dist, dataset)
+        queries += expansions
         if t is not None:
             trusts[rater] = t
     if not trusts:
-        return TidalResult(None, -1, set(), counter[0])
+        return TidalResult(None, -1, set(), queries)
 
     best = max(trusts.values())
     selected = {(u, t, raters[u]) for u, t in trusts.items() if t == best}
@@ -158,7 +163,7 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
         predicted = num / den
     else:
         predicted = sum(r for _, _, r in selected) / len(selected)
-    return TidalResult(predicted, found_depth, selected, counter[0])
+    return TidalResult(predicted, found_depth, selected, queries)
 
 
 def mole_trust_scores(source: int, dataset: Dataset, horizon: int = 3) -> MoleScores:
@@ -171,7 +176,7 @@ def mole_trust_scores(source: int, dataset: Dataset, horizon: int = 3) -> MoleSc
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     adj = dataset.trust_adjacency.out
-    dist, _ = _bfs_distances(adj, source)
+    dist, _ = _bfs_distances(adj, source, max_depth=horizon)
     levels: dict[int, list[int]] = {}
     for u, d in dist.items():
         if 0 < d <= horizon:
