@@ -124,18 +124,23 @@ def _load(args):
 
 
 def _network_state(args, dataset, config):
+    state = None
     if args.snapshot:
         try:
             ingest.check_snapshot_config(args.snapshot, config)
             state = ingest.load_snapshot(args.snapshot)
             log.info("loaded snapshot %s (round %d)", args.snapshot, state.round)
-            return state
         except FileNotFoundError:
             pass
-    state = propagate(dataset, config)
-    if args.snapshot:
-        ingest.save_snapshot(state, args.snapshot, config)
-        log.info("wrote snapshot %s", args.snapshot)
+    if state is None:
+        state = propagate(dataset, config)
+        if args.snapshot:
+            ingest.save_snapshot(state, args.snapshot, config)
+            log.info("wrote snapshot %s", args.snapshot)
+    if not state.converged:
+        # results on an unconverged state depend on the round it stopped at
+        log.warning("propagation did not converge: stopped at round %d",
+                    state.round)
     return state
 
 

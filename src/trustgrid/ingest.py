@@ -33,8 +33,10 @@ class StaleSnapshotError(TrustgridError):
     """A snapshot was built with other propagation settings than this run's."""
 
 
-def _data_lines(stream):
-    for line_no, raw in enumerate(stream, start=1):
+def _data_lines(stream, start=1):
+    """(line number, stripped line) for each data line; `start` is the file
+    line number of the stream's first line."""
+    for line_no, raw in enumerate(stream, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -269,20 +271,27 @@ def load_snapshot(path) -> NetworkState:
     with open(path, encoding="utf-8") as fh:
         meta = _read_header(fh, path)
         tables: dict[int, TrustTable] = {}
-        for line_no, line in _data_lines(fh):
+        for line_no, line in _data_lines(fh, start=2):
             fields = line.split()
-            if fields[0] == "node" and len(fields) == 2:
-                tables.setdefault(int(fields[1]), TrustTable(int(fields[1])))
-                continue
-            if len(fields) != 5:
+            is_node = fields[0] == "node" and len(fields) == 2
+            if not is_node and len(fields) != 5:
                 raise ParseError(line_no, f"expected 5 fields, got {len(fields)}")
-            owner, target = int(fields[0]), int(fields[1])
-            trust = float(fields[2])
+            try:
+                if is_node:
+                    owner = int(fields[1])
+                else:
+                    owner, target, hops = int(fields[0]), int(fields[1]), int(fields[4])
+                    trust = float(fields[2])
+            except ValueError:
+                raise ParseError(line_no, f"malformed field in {line!r}") from None
+            table = tables.setdefault(owner, TrustTable(owner))
+            if is_node:
+                continue
             origin = fields[3]
-            hops = int(fields[4])
             if origin not in (DIRECT, INFERRED):
                 raise ParseError(line_no, f"unknown entry origin {origin!r}")
-            table = tables.setdefault(owner, TrustTable(owner))
+            if hops < 1:
+                raise ParseError(line_no, f"hops {hops} below 1")
             table.entries[target] = TrustEntry(target, trust, origin, hops)
     return NetworkState(tables,
                         round=int(meta.get("round", 0)),

@@ -2,8 +2,11 @@
 
 Each user keeps a trust table (direct plus inferred neighbors). In every
 round a node reads only its positively-trusted direct neighbors' tables from
-the previous round and recomputes damped weighted-average trust values for
-every target those tables mention. Rounds repeat until the largest value
+the previous round and rebuilds its inferred entries: one damped
+weighted-average value for every target those tables mention. A node whose
+neighbors' tables did not change has nothing new to learn, so after the
+first round `propagate` rebuilds only the tables of nodes that positively
+trust a node whose table just changed. Rounds repeat until the largest value
 change drops below a tolerance.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
@@ -73,28 +76,27 @@ def init_network(dataset: Dataset) -> NetworkState:
     return NetworkState(tables)
 
 
-def _weighted_average(neighbours, y, tables, damping):
-    """Damped weighted average of what x's neighbours' tables say about y.
+def _node_average(neighbours, tables, damping):
+    """Damped weighted average of what x's neighbours' tables say about each
+    target they hold.
 
     `neighbours` lists x's positive direct (i, trust(x, i)) edges in ascending
-    i, which fixes the float summation order. Returns (value, hops), hops
-    being one more than the fewest among the contributing entries, or None
-    when no neighbour's table holds y.
+    i, so every target sums its contributions in ascending i, which fixes its
+    float result. Returns {y: (value, hops)}, hops being one more than the
+    fewest among the entries that contributed to y.
     """
-    num = 0.0
-    den = 0.0
-    min_hops = None
+    sums = {}
     for i, w in neighbours:
-        reported = tables[i].entries.get(y)
-        if reported is None:
-            continue
-        num += w * damping * reported.trust
-        den += w
-        if min_hops is None or reported.hops < min_hops:
-            min_hops = reported.hops
-    if den == 0.0:
-        return None
-    return num / den, 1 + min_hops
+        scale = w * damping
+        for y, reported in tables[i].entries.items():
+            acc = sums.get(y)
+            if acc is None:
+                acc = sums[y] = [0.0, 0.0, reported.hops]
+            acc[0] += scale * reported.trust
+            acc[1] += w
+            if reported.hops < acc[2]:
+                acc[2] = reported.hops
+    return {y: (num / den, 1 + hops) for y, (num, den, hops) in sums.items()}
 
 
 def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
@@ -107,101 +109,76 @@ def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
     """
     neighbours = [(i, e.trust) for i, e in tables[x].entries.items()
                   if e.origin == DIRECT and e.trust > 0.0]
-    result = _weighted_average(neighbours, y, tables, damping)
+    result = _node_average(neighbours, tables, damping).get(y)
     return None if result is None else result[0]
 
 
-def _dependents(dataset: Dataset, entries) -> set[tuple[int, int]]:
-    """Pairs (x, y) whose inference reads one of the table entries (i, y):
-    x trusts i directly and positively, y != x, and y is not x's direct
-    neighbor (direct entries are never inferred)."""
-    positive_in = dataset.trust_adjacency.positive_in
-    direct = {x: dataset.trust_neighbors(x) for x in dataset.users}
-    pairs = set()
-    for i, y in entries:
-        for x, _ in positive_in.get(i, ()):
-            if y != x and y not in direct[x]:
-                pairs.add((x, y))
-    return pairs
-
-
 def _apply_round(state: NetworkState, dataset: Dataset,
-                 config: PropagationConfig, pairs):
-    """Synchronously recompute `pairs` against round-k tables; returns the
-    round-(k+1) state plus (max_change, entries_added, changed_pairs)."""
+                 config: PropagationConfig, nodes):
+    """Synchronously rebuild the tables of `nodes` from the round-k tables.
+
+    A node keeps its direct entries and infers every other target its
+    positive neighbours' tables hold, except itself and positive values
+    below the storage threshold. Returns the round-(k+1) state plus
+    (max_change, entries_added, changed_nodes).
+    """
     tables = state.tables
-    positive_out = dataset.trust_adjacency.positive_out
-    updates: dict[int, dict[int, TrustEntry | None]] = {}
+    adjacency = dataset.trust_adjacency
+    new_tables = dict(tables)
     max_change = 0.0
     entries_added = 0
-    changed: set[tuple[int, int]] = set()
+    changed_nodes = []
 
-    for x, y in pairs:
-        new = _weighted_average(positive_out.get(x, ()), y, tables,
-                                config.damping)
-        if new is not None and 0.0 <= new[0] < config.store_threshold:
-            new = None  # too weak to store
-        old = tables[x].entries.get(y)
-        if old is None:
-            if new is None:
+    for x in nodes:
+        old = tables[x].entries
+        entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
+        averages = _node_average(adjacency.positive_out.get(x, ()), tables,
+                                 config.damping)
+        for y, (value, hops) in averages.items():
+            if y == x or y in entries or 0.0 <= value < config.store_threshold:
+                continue  # self, a direct target, or too weak to store
+            prev = old.get(y)
+            if prev is None:
+                entries_added += 1
+                change = abs(value)
+            elif prev.trust == value and prev.hops == hops:
+                entries[y] = prev
                 continue
-            entries_added += 1
-            change = abs(new[0])
-        elif new is None:
-            change = abs(old.trust)
-        elif new == (old.trust, old.hops):
-            continue
-        else:
-            change = abs(old.trust - new[0])
-        if change > max_change:
-            max_change = change
-        updates.setdefault(x, {})[y] = (
-            None if new is None else TrustEntry(y, new[0], INFERRED, new[1]))
-        changed.add((x, y))
-
-    new_tables = {}
-    for x, table in tables.items():
-        if x not in updates:
-            new_tables[x] = table
-            continue
-        entries = dict(table.entries)
-        for y, entry in updates[x].items():
-            if entry is None:
-                entries.pop(y, None)
             else:
-                entries[y] = entry
-        new_tables[x] = TrustTable(x, entries)
+                change = abs(prev.trust - value)
+            entries[y] = TrustEntry(y, value, INFERRED, hops)
+            if change > max_change:
+                max_change = change
+        for y in old.keys() - entries.keys():  # no neighbour reports y now
+            if abs(old[y].trust) > max_change:
+                max_change = abs(old[y].trust)
+        if entries != old:
+            new_tables[x] = TrustTable(x, entries)
+            changed_nodes.append(x)
 
     next_state = NetworkState(new_tables, state.round + 1, state.converged)
-    return next_state, max_change, entries_added, changed
-
-
-def _candidate_pairs(state: NetworkState, dataset: Dataset) -> set[tuple[int, int]]:
-    """The pairs reading any table entry, plus every inferred entry: those
-    stay under recomputation even after dropping out of all neighbor tables."""
-    entries = [(i, y) for i, table in state.tables.items() for y in table.entries]
-    inferred = {(x, y) for x, table in state.tables.items()
-                for y, e in table.entries.items() if e.origin == INFERRED}
-    return _dependents(dataset, entries) | inferred
+    return next_state, max_change, entries_added, changed_nodes
 
 
 def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
-    """One full synchronous round; every node recomputes every candidate target.
+    """One full synchronous round; every node rebuilds its table.
 
     Returns (new_state, max_change, entries_added). max_change is the largest
     absolute difference between an inferred entry's old and new value, where
     appearing/disappearing entries count as change from/to 0.
     """
     next_state, max_change, entries_added, _ = _apply_round(
-        state, dataset, config, sorted(_candidate_pairs(state, dataset)))
+        state, dataset, config, state.tables)
     return next_state, max_change, entries_added
 
 
 def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> NetworkState:
     """Run rounds until max_change <= tolerance or max_rounds is reached.
 
-    Incremental bookkeeping recomputes only pairs whose inputs changed in the
-    previous round; results are identical to repeated full run_round calls.
+    After the first round only the nodes that positively trust a node whose
+    table just changed rebuild theirs: every other node would read the same
+    tables as last round, so results are identical to repeated full
+    run_round calls.
     """
     if config is None:
         config = PropagationConfig()
@@ -209,14 +186,14 @@ def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> Netw
     if config.max_rounds == 0:
         return state
 
-    pairs = sorted(_candidate_pairs(state, dataset))
+    positive_in = dataset.trust_adjacency.positive_in
+    nodes = state.tables
     for _ in range(config.max_rounds):
-        state, max_change, _, changed = _apply_round(state, dataset, config, pairs)
+        state, max_change, _, changed = _apply_round(state, dataset, config, nodes)
         if max_change <= config.tolerance:
             state.converged = True
             break
-        # a changed pair itself stays live: its entry may need re-removal
-        pairs = sorted(_dependents(dataset, changed) | changed)
+        nodes = {x for i in changed for x, _ in positive_in.get(i, ())}
     return state
 
 

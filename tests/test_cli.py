@@ -155,6 +155,19 @@ def test_snapshot_without_config_loads(small_dataset, tmp_path, capsys):
     assert "origin=direct" in capsys.readouterr().out
 
 
+def test_unconverged_state_warns_on_stderr_only(tmp_path, caplog, capsys):
+    trust = tmp_path / "t.txt"
+    trust.write_text("0 1 1\n1 2 1\n2 3 1\n")  # converges in round 3
+    query = ["trust", "--trust", str(trust), "--source", "0", "--target", "2"]
+    assert main(query + ["--max-rounds", "1"]) == 0
+    cut = capsys.readouterr().out
+    assert "propagation did not converge: stopped at round 1" in caplog.text
+    caplog.clear()
+    assert main(query) == 0
+    assert capsys.readouterr().out == cut
+    assert "converge" not in caplog.text
+
+
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
 # converges in 50 rounds); an ulp of drift in the propagation kernel shows here
 GOLDEN_SNAPSHOTS = [

@@ -125,3 +125,19 @@ def test_snapshot_not_a_snapshot(tmp_path):
     path.write_text("1 2 3\n")
     with pytest.raises(VersionError):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("bad_line", [
+    "0 1 0.5 inferred",      # too few fields
+    "0 1 high inferred 2",   # non-numeric trust
+    "0 1 0.5 inferred two",  # non-numeric hops
+    "0 one 0.5 inferred 2",  # non-numeric target
+    "0 1 0.5 inferred 0",    # hops below 1
+    "node zero",             # non-numeric node id
+])
+def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
+    path = tmp_path / "bad.snap"
+    path.write_text("trustgrid-snapshot v1 round=1\n"
+                    "# comment\nnode 0\n" + bad_line + "\n")
+    with pytest.raises(ParseError, match="^line 4: "):
+        load_snapshot(path)

@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -128,6 +129,21 @@ def test_direct_entries_immutable():
         direct = {(x, y): e.trust for x, t in state.tables.items()
                   for y, e in t.entries.items() if e.origin == DIRECT}
         assert direct == edges
+
+
+def test_run_round_leaves_input_state_unchanged():
+    # synchronous rounds read only round-k tables, so the input must survive
+    rng = random.Random(17)
+    for _ in range(10):
+        n, edges = random_graph(rng, max_nodes=9)
+        ds = edges_dataset(edges)
+        config = PropagationConfig(store_threshold=0.2)
+        state = init_network(ds)
+        for _ in range(4):
+            before = copy.deepcopy(state)
+            after, _, _ = run_round(state, ds, config)
+            assert state == before
+            state = after
 
 
 def test_propagate_deterministic():
