@@ -2,15 +2,14 @@
 
 from .model import (Dataset, Rating, TrustEdge, TrustgridError,
                     NoRatingsError, UnknownItemError, UnknownUserError)
-from .propagation import (NetworkState, PropagationConfig, TrustEntry,
-                          TrustTable, infer_trust, init_network, propagate,
-                          query_trust, run_round)
+from .propagation import (NetworkState, PropagationConfig, infer_trust,
+                          init_network, propagate, query_trust, run_round)
 from .recommender import Recommendation, confidence, neighborhood_raters, recommend
 
 __all__ = [
     "Dataset", "Rating", "TrustEdge", "TrustgridError", "NoRatingsError",
     "UnknownItemError", "UnknownUserError",
-    "NetworkState", "PropagationConfig", "TrustEntry", "TrustTable",
-    "infer_trust", "init_network", "propagate", "query_trust", "run_round",
+    "NetworkState", "PropagationConfig", "infer_trust", "init_network",
+    "propagate", "query_trust", "run_round",
     "Recommendation", "confidence", "neighborhood_raters", "recommend",
 ]

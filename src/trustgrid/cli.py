@@ -123,6 +123,21 @@ def _load(args):
                                getattr(args, "trust", None))
 
 
+def _check_snapshot_edges(state, dataset, path):
+    """Refuse a snapshot whose direct entries are not this run's trust edges,
+    then give each user without a table (no trust edges) an empty one."""
+    out = dataset.trust_adjacency.out
+    for owner in sorted(state.tables.keys() | out.keys()):
+        table = state.tables.get(owner, {})
+        saved = {t: trust for t, (trust, hops) in table.items() if hops == 1}
+        if saved != dict(out.get(owner, ())):
+            raise ingest.StaleSnapshotError(
+                f"{path}: direct trust of user {owner} differs from the "
+                f"trust input")
+    for user in dataset.users:
+        state.tables.setdefault(user, {})
+
+
 def _network_state(args, dataset, config):
     state = None
     if args.snapshot:
@@ -132,6 +147,8 @@ def _network_state(args, dataset, config):
             log.info("loaded snapshot %s (round %d)", args.snapshot, state.round)
         except FileNotFoundError:
             pass
+        else:
+            _check_snapshot_edges(state, dataset, args.snapshot)
     if state is None:
         state = propagate(dataset, config)
         if args.snapshot:
@@ -197,9 +214,9 @@ def _cmd_propagate(args):
     state = propagate(dataset, config)
     if args.snapshot:
         ingest.save_snapshot(state, args.snapshot, config)
-    entries = sum(len(t.entries) for t in state.tables.values())
+    entries = sum(len(t) for t in state.tables.values())
     inferred = sum(1 for t in state.tables.values()
-                   for e in t.entries.values() if e.origin == "inferred")
+                   for _, hops in t.values() if hops > 1)
     print(f"rounds={state.round} converged={state.converged} "
           f"entries={entries} inferred={inferred}")
     return EXIT_OK

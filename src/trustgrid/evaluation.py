@@ -177,7 +177,7 @@ def _predict_one(dataset, state, method, horizon, user, item):
         rec = recommend(state, user, item, dataset)
         if rec is None:
             return None, None, None
-        depth = min(state.tables[user].entries[y].hops for y, _, _ in rec.contributors)
+        depth = min(state.tables[user][y][1] for y, _, _ in rec.contributors)
         return rec.predicted, depth, rec.rating_recall
     if method == "tidal":
         res = baselines.tidal_trust_recommend(user, item, dataset)
@@ -347,9 +347,8 @@ def leave_one_out_trust(dataset: Dataset,
         remaining = [e for e in all_edges if e != held_out]
         state = propagate(Dataset((), remaining), config)
         source, target, value = held_out
-        entry = state.tables.get(source)
-        inferred = entry.entries.get(target) if entry else None
+        inferred = state.tables.get(source, {}).get(target)
         if inferred is not None:
-            errors.append(abs(inferred.trust - value))
+            errors.append(abs(inferred[0] - value))
     coverage = len(errors) / len(edges)
     return coverage, (mae(errors) if errors else None)

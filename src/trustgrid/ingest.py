@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .model import Dataset, RATING_MAX, RATING_MIN, TrustgridError
-from .propagation import DIRECT, INFERRED, NetworkState, TrustEntry, TrustTable
+from .propagation import DIRECT, INFERRED, NetworkState
 
 SNAPSHOT_MAGIC = "trustgrid-snapshot"
 SNAPSHOT_VERSION = "v1"
@@ -30,7 +30,8 @@ class VersionError(TrustgridError):
 
 
 class StaleSnapshotError(TrustgridError):
-    """A snapshot was built with other propagation settings than this run's."""
+    """A snapshot was built with other propagation settings or trust edges
+    than this run's."""
 
 
 def _data_lines(stream, start=1):
@@ -237,19 +238,34 @@ def save_snapshot(state: NetworkState, path, config=None) -> None:
         for owner in sorted(state.tables):
             table = state.tables[owner]
             fh.write(f"node {owner}\n")
-            for target in sorted(table.entries):
-                e = table.entries[target]
-                fh.write(f"{owner} {target} {e.trust!r} {e.origin} {e.hops}\n")
+            for target in sorted(table):
+                trust, hops = table[target]
+                origin = DIRECT if hops == 1 else INFERRED
+                fh.write(f"{owner} {target} {trust!r} {origin} {hops}\n")
 
 
-def _read_header(fh, path) -> dict[str, str]:
-    """The `key=value` fields of a snapshot's first line."""
+def _read_header(fh, path) -> dict:
+    """A snapshot's first line: `round` and `converged` as ints, `lambda` and
+    `threshold` as floats, or None when saved as `na` (without a config)."""
     header = fh.readline().split()
     if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
         raise VersionError(f"{path}: not a trustgrid snapshot")
     if header[1] != SNAPSHOT_VERSION:
         raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
-    return dict(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+    meta = {"round": "0", "converged": "0", "lambda": "na", "threshold": "na"}
+    meta.update(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+    fields = {}
+    for key, kind in (("round", int), ("converged", int),
+                      ("lambda", float), ("threshold", float)):
+        if kind is float and meta[key] == "na":
+            fields[key] = None
+            continue
+        try:
+            fields[key] = kind(meta[key])
+        except ValueError:
+            raise ParseError(1, f"{path}: malformed header field "
+                                f"{key}={meta[key]!r}") from None
+    return fields
 
 
 def check_snapshot_config(path, config) -> None:
@@ -259,10 +275,10 @@ def check_snapshot_config(path, config) -> None:
         meta = _read_header(fh, path)
     for key, value in (("lambda", config.damping),
                        ("threshold", config.store_threshold)):
-        saved = meta.get(key, "na")
-        if saved != "na" and float(saved) != value:
+        saved = meta[key]
+        if saved is not None and saved != value:
             raise StaleSnapshotError(
-                f"{path}: snapshot was built with {key}={saved}, "
+                f"{path}: snapshot was built with {key}={saved!r}, "
                 f"but this run uses {key}={value!r}")
 
 
@@ -270,7 +286,7 @@ def load_snapshot(path) -> NetworkState:
     """Reload a snapshot written by save_snapshot; round-trip is bit-exact."""
     with open(path, encoding="utf-8") as fh:
         meta = _read_header(fh, path)
-        tables: dict[int, TrustTable] = {}
+        tables: dict[int, dict[int, tuple[float, int]]] = {}
         for line_no, line in _data_lines(fh, start=2):
             fields = line.split()
             is_node = fields[0] == "node" and len(fields) == 2
@@ -284,7 +300,7 @@ def load_snapshot(path) -> NetworkState:
                     trust = float(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed field in {line!r}") from None
-            table = tables.setdefault(owner, TrustTable(owner))
+            table = tables.setdefault(owner, {})
             if is_node:
                 continue
             origin = fields[3]
@@ -292,7 +308,10 @@ def load_snapshot(path) -> NetworkState:
                 raise ParseError(line_no, f"unknown entry origin {origin!r}")
             if hops < 1:
                 raise ParseError(line_no, f"hops {hops} below 1")
-            table.entries[target] = TrustEntry(target, trust, origin, hops)
-    return NetworkState(tables,
-                        round=int(meta.get("round", 0)),
-                        converged=bool(int(meta.get("converged", 0))))
+            if (origin == DIRECT) != (hops == 1):  # hops 1 marks a direct entry
+                raise ParseError(line_no, f"{origin} entry with hops {hops}")
+            if not -1.0 <= trust <= 1.0:
+                raise ParseError(line_no, f"trust value {trust} outside [-1,1]")
+            table[target] = (trust, hops)
+    return NetworkState(tables, round=meta["round"],
+                        converged=bool(meta["converged"]))

@@ -1,42 +1,30 @@
 """Node-local iterative trust propagation over synchronous gossip rounds.
 
-Each user keeps a trust table (direct plus inferred neighbors). In every
-round a node reads only its positively-trusted direct neighbors' tables from
-the previous round and rebuilds its inferred entries: one damped
-weighted-average value for every target those tables mention. A node whose
-neighbors' tables did not change has nothing new to learn, so after the
-first round `propagate` rebuilds only the tables of nodes that positively
-trust a node whose table just changed. Rounds repeat until the largest value
-change drops below a tolerance.
+Each user keeps one trust table, a plain `target -> (trust, hops)` map that
+holds direct and inferred entries alike. In every round a node reads only its
+positively-trusted direct neighbors' tables from the previous round and
+rebuilds its inferred entries: one damped weighted-average value for every
+target those tables mention. A node whose neighbors' tables did not change
+has nothing new to learn, so after the first round `propagate` rebuilds only
+the tables of nodes that positively trust a node whose table just changed.
+Rounds repeat until the largest value change drops below a tolerance.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
-entries are a view of that input, kept for snapshots and query_trust; only
-inferred entries change from round to round.
+entries (hops 1) are a copy of that input, kept for snapshots and
+query_trust; only inferred entries (hops 2 or more) change from round to
+round. DIRECT and INFERRED are the labels query_trust and snapshots derive
+from hops.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Dataset, UnknownUserError
 
 DIRECT = "direct"
 INFERRED = "inferred"
-
-
-@dataclass(frozen=True, slots=True)
-class TrustEntry:
-    target: int
-    trust: float
-    origin: str  # DIRECT or INFERRED
-    hops: int    # 1 for direct entries
-
-
-@dataclass(slots=True)
-class TrustTable:
-    owner: int
-    entries: dict[int, TrustEntry] = field(default_factory=dict)
 
 
 @dataclass(slots=True)
@@ -59,9 +47,15 @@ class PropagationConfig:
 
 @dataclass(slots=True)
 class NetworkState:
-    """All nodes' trust tables after some number of rounds."""
+    """All nodes' trust tables after some number of rounds.
 
-    tables: dict[int, TrustTable]
+    `tables[owner][target]` is `(trust, hops)`. hops == 1 marks a direct
+    entry, a copy of the owner's trust edge; an inferred entry has
+    hops >= 2, one more than the fewest hops among the neighbour entries
+    it was averaged from.
+    """
+
+    tables: dict[int, dict[int, tuple[float, int]]]
     round: int = 0
     converged: bool = False
 
@@ -69,11 +63,8 @@ class NetworkState:
 def init_network(dataset: Dataset) -> NetworkState:
     """One table per user, holding exactly the user's direct edges (hops=1)."""
     out = dataset.trust_adjacency.out
-    tables = {}
-    for user in sorted(dataset.users):
-        entries = {t: TrustEntry(t, v, DIRECT, 1) for t, v in out.get(user, ())}
-        tables[user] = TrustTable(user, entries)
-    return NetworkState(tables)
+    return NetworkState({user: {t: (v, 1) for t, v in out.get(user, ())}
+                         for user in sorted(dataset.users)})
 
 
 def _node_average(neighbours, tables, damping):
@@ -88,18 +79,19 @@ def _node_average(neighbours, tables, damping):
     sums = {}
     for i, w in neighbours:
         scale = w * damping
-        for y, reported in tables[i].entries.items():
+        for y, (trust, hops) in tables[i].items():
             acc = sums.get(y)
             if acc is None:
-                acc = sums[y] = [0.0, 0.0, reported.hops]
-            acc[0] += scale * reported.trust
+                acc = sums[y] = [0.0, 0.0, hops]
+            acc[0] += scale * trust
             acc[1] += w
-            if reported.hops < acc[2]:
-                acc[2] = reported.hops
+            if hops < acc[2]:
+                acc[2] = hops
     return {y: (num / den, 1 + hops) for y, (num, den, hops) in sums.items()}
 
 
-def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
+def infer_trust(x: int, y: int,
+                tables: dict[int, dict[int, tuple[float, int]]],
                 damping: float) -> float | None:
     """Damped weighted-average trust from x to y through x's trusted neighbors.
 
@@ -107,8 +99,8 @@ def infer_trust(x: int, y: int, tables: dict[int, TrustTable],
     table holds an entry for y (direct or inferred, signed values included).
     Returns None when no neighbor can report on y.
     """
-    neighbours = [(i, e.trust) for i, e in tables[x].entries.items()
-                  if e.origin == DIRECT and e.trust > 0.0]
+    neighbours = [(i, trust) for i, (trust, hops) in tables[x].items()
+                  if hops == 1 and trust > 0.0]
     result = _node_average(neighbours, tables, damping).get(y)
     return None if result is None else result[0]
 
@@ -130,30 +122,27 @@ def _apply_round(state: NetworkState, dataset: Dataset,
     changed_nodes = []
 
     for x in nodes:
-        old = tables[x].entries
+        old = tables[x]
         entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
         averages = _node_average(adjacency.positive_out.get(x, ()), tables,
                                  config.damping)
         for y, (value, hops) in averages.items():
             if y == x or y in entries or 0.0 <= value < config.store_threshold:
                 continue  # self, a direct target, or too weak to store
+            entries[y] = (value, hops)
             prev = old.get(y)
             if prev is None:
                 entries_added += 1
                 change = abs(value)
-            elif prev.trust == value and prev.hops == hops:
-                entries[y] = prev
-                continue
             else:
-                change = abs(prev.trust - value)
-            entries[y] = TrustEntry(y, value, INFERRED, hops)
+                change = abs(prev[0] - value)
             if change > max_change:
                 max_change = change
         for y in old.keys() - entries.keys():  # no neighbour reports y now
-            if abs(old[y].trust) > max_change:
-                max_change = abs(old[y].trust)
+            if abs(old[y][0]) > max_change:
+                max_change = abs(old[y][0])
         if entries != old:
-            new_tables[x] = TrustTable(x, entries)
+            new_tables[x] = entries
             changed_nodes.append(x)
 
     next_state = NetworkState(new_tables, state.round + 1, state.converged)
@@ -201,7 +190,8 @@ def query_trust(state: NetworkState, x: int, y: int):
     """Entry from x's table as (trust, origin, hops), or None if absent."""
     if x not in state.tables:
         raise UnknownUserError(f"unknown user {x}")
-    entry = state.tables[x].entries.get(y)
+    entry = state.tables[x].get(y)
     if entry is None:
         return None
-    return entry.trust, entry.origin, entry.hops
+    trust, hops = entry
+    return trust, DIRECT if hops == 1 else INFERRED, hops

@@ -35,9 +35,9 @@ def neighborhood_raters(state: NetworkState, x: int, item: int,
     for y in sorted(raters):
         if y == x:
             continue
-        entry = state.tables[x].entries.get(y)
-        if entry is not None and entry.trust > 0.0:
-            out.append((y, entry.trust, raters[y]))
+        entry = state.tables[x].get(y)
+        if entry is not None and entry[0] > 0.0:
+            out.append((y, entry[0], raters[y]))
     return out
 
 

@@ -21,7 +21,7 @@ from trustgrid.evaluation import (delta_curve, evaluate_ratings, build_report,
 from trustgrid.ingest import (SyntheticSpec, dataset_stats, generate_synthetic,
                               load_dataset)
 from trustgrid.model import Dataset
-from trustgrid.propagation import (INFERRED, PropagationConfig, init_network,
+from trustgrid.propagation import (PropagationConfig, init_network,
                                    propagate, run_round)
 from trustgrid.recommender import confidence, recommend
 
@@ -33,8 +33,8 @@ def _report(capsys, ok, text):
 
 
 def _inferred_map(state):
-    return {(x, y): e.trust for x, t in state.tables.items()
-            for y, e in t.entries.items() if e.origin == INFERRED}
+    return {(x, y): trust for x, t in state.tables.items()
+            for y, (trust, hops) in t.items() if hops > 1}
 
 
 def _acceptance_graphs(count=200):
@@ -54,7 +54,7 @@ def test_criterion_1_chain_law(capsys):
             ds = Dataset([], [(i, i + 1, t) for i in range(k)])
             state = propagate(ds, PropagationConfig(damping=0.8,
                                                     store_threshold=0.0))
-            got = state.tables[0].entries[k].trust
+            got, _ = state.tables[0][k]
             ok = ok and state.converged and abs(got - 0.8 ** (k - 1) * t) <= 1e-12
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 1.0

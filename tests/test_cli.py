@@ -168,6 +168,34 @@ def test_unconverged_state_warns_on_stderr_only(tmp_path, caplog, capsys):
     assert "converge" not in caplog.text
 
 
+def test_snapshot_from_other_trust_edges_is_data_error(tmp_path, caplog, capsys):
+    a, b, snap = tmp_path / "a.txt", tmp_path / "b.txt", tmp_path / "net.snap"
+    a.write_text("0 1 1\n1 2 1\n")
+    b.write_text("0 1 1\n1 2 -1\n")  # one edge flipped
+    assert main(["propagate", "--trust", str(a), "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    query = ["trust", "--trust", str(b), "--source", "0", "--target", "2"]
+    assert main(query) == 0
+    assert "trust=-0.800000" in capsys.readouterr().out
+    assert main(query + ["--snapshot", str(snap)]) == 2
+    assert capsys.readouterr().out == ""
+    assert "direct trust of user 1 differs" in caplog.text
+
+
+def test_snapshot_covers_raters_without_trust_edges(tmp_path, capsys):
+    r, t, snap = tmp_path / "r.txt", tmp_path / "t.txt", tmp_path / "net.snap"
+    r.write_text("0 7 4\n1 7 4\n2 7 3\n5 7 2\n5 8 1\n0 8 2\n")  # 5: no edges
+    t.write_text("0 1 1\n1 2 1\n0 2 1\n")
+    assert main(["propagate", "--trust", str(t), "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    query = ["evaluate", "--ratings", str(r), "--trust", str(t),
+             "--method", "proposed"]
+    assert main(query) == 0
+    fresh = capsys.readouterr().out
+    assert main(query + ["--snapshot", str(snap)]) == 0
+    assert capsys.readouterr().out == fresh
+
+
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
 # converges in 50 rounds); an ulp of drift in the propagation kernel shows here
 GOLDEN_SNAPSHOTS = [

@@ -3,7 +3,8 @@ import io
 import pytest
 
 from trustgrid.ingest import (DatasetStats, ParseError, SyntheticSpec,
-                              VersionError, dataset_stats, generate_synthetic,
+                              VersionError, check_snapshot_config,
+                              dataset_stats, generate_synthetic,
                               load_snapshot, parse_ratings, parse_trust,
                               save_snapshot)
 from trustgrid.model import Dataset
@@ -109,8 +110,11 @@ def test_snapshot_round_trip_init_state(tmp_path):
     save_snapshot(state, path)
     loaded = load_snapshot(path)
     assert loaded == state
-    assert all(e.origin == "direct" for t in loaded.tables.values()
-               for e in t.entries.values())
+    assert all(hops == 1 for t in loaded.tables.values()
+               for _, hops in t.values())
+    entry_lines = [line for line in path.read_text().splitlines()[1:]
+                   if not line.startswith("node ")]
+    assert [line.split()[3] for line in entry_lines] == ["direct"]
 
 
 def test_snapshot_unknown_version(tmp_path):
@@ -134,6 +138,10 @@ def test_snapshot_not_a_snapshot(tmp_path):
     "0 one 0.5 inferred 2",  # non-numeric target
     "0 1 0.5 inferred 0",    # hops below 1
     "node zero",             # non-numeric node id
+    "0 1 nan inferred 2",    # trust not finite
+    "0 1 7.5 direct 1",      # trust outside [-1, 1]
+    "0 1 0.5 direct 2",      # direct entries have hops 1
+    "0 1 0.5 inferred 1",    # inferred entries have hops >= 2
 ])
 def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
     path = tmp_path / "bad.snap"
@@ -141,3 +149,16 @@ def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
                     "# comment\nnode 0\n" + bad_line + "\n")
     with pytest.raises(ParseError, match="^line 4: "):
         load_snapshot(path)
+
+
+@pytest.mark.parametrize("field", [
+    "round=x", "converged=x", "lambda=abc", "threshold=x",
+])
+def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
+    path = tmp_path / "bad.snap"
+    path.write_text(f"trustgrid-snapshot v1 {field}\nnode 0\n")
+    key, value = field.split("=")
+    for read in (load_snapshot,
+                 lambda p: check_snapshot_config(p, PropagationConfig())):
+        with pytest.raises(ParseError, match=f"^line 1: .*{key}='{value}'"):
+            read(path)

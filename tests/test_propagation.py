@@ -20,27 +20,27 @@ def edges_dataset(edges):
 
 
 def inferred_map(state):
-    return {(x, y): e.trust for x, t in state.tables.items()
-            for y, e in t.entries.items() if e.origin == INFERRED}
+    return {(x, y): trust for x, t in state.tables.items()
+            for y, (trust, hops) in t.items() if hops > 1}
 
 
 def test_init_network_direct_only():
     ds = Dataset([], [(0, 1, 1.0)])
     state = init_network(ds)
     assert state.round == 0 and not state.converged
-    assert state.tables[0].entries[1].origin == DIRECT
-    assert state.tables[0].entries[1].hops == 1
-    assert state.tables[1].entries == {}
+    assert state.tables[0] == {1: (1.0, 1)}
+    assert query_trust(state, 0, 1) == (1.0, DIRECT, 1)
+    assert state.tables[1] == {}
 
 
 def test_init_network_no_edges():
     state = init_network(Dataset([(0, 5, 3), (1, 5, 4)]))
-    assert all(not t.entries for t in state.tables.values())
+    assert all(not t for t in state.tables.values())
 
 
 def test_init_network_keeps_direct_distrust():
     state = init_network(Dataset([], [(0, 1, -0.3)]))
-    assert state.tables[0].entries[1].trust == -0.3
+    assert state.tables[0][1] == (-0.3, 1)
 
 
 def test_infer_trust_single_path():
@@ -66,8 +66,8 @@ def test_run_round_chain():
     state = init_network(ds)
     config = PropagationConfig()
     state, change, added = run_round(state, ds, config)
-    entry = state.tables[0].entries[2]
-    assert (entry.trust, entry.origin, entry.hops) == (approx(0.8), INFERRED, 2)
+    assert state.tables[0][2] == (approx(0.8), 2)
+    assert query_trust(state, 0, 2) == (approx(0.8), INFERRED, 2)
     assert change == approx(0.8) and added == 1
     state, change, added = run_round(state, ds, config)
     assert change == 0.0 and added == 0
@@ -77,7 +77,7 @@ def test_run_round_isolated_node():
     ds = Dataset([], [(0, 1, 1.0)], users=[5])
     state = init_network(ds)
     state, _, _ = run_round(state, ds, PropagationConfig())
-    assert state.tables[5].entries == {}
+    assert state.tables[5] == {}
 
 
 def test_propagate_chain_converges():
@@ -114,8 +114,8 @@ def test_chain_law():
             config = PropagationConfig(damping=0.8, store_threshold=0.0)
             state = propagate(ds, config)
             expected = 0.8 ** (k - 1) * t
-            entry = state.tables[0].entries[k]
-            assert entry.trust == approx(expected, abs=1e-12)
+            trust, _ = state.tables[0][k]
+            assert trust == approx(expected, abs=1e-12)
 
 
 def test_direct_entries_immutable():
@@ -126,8 +126,8 @@ def test_direct_entries_immutable():
     state = init_network(ds)
     for _ in range(6):
         state, _, _ = run_round(state, ds, config)
-        direct = {(x, y): e.trust for x, t in state.tables.items()
-                  for y, e in t.entries.items() if e.origin == DIRECT}
+        direct = {(x, y): trust for x, t in state.tables.items()
+                  for y, (trust, hops) in t.items() if hops == 1}
         assert direct == edges
 
 
@@ -219,9 +219,9 @@ def test_inferred_bound_damping_power():
                                    tolerance=0.0)
         state = propagate(ds, config)
         for x, table in state.tables.items():
-            for y, e in table.entries.items():
-                if e.origin == INFERRED:
-                    assert abs(e.trust) <= 0.8 ** (e.hops - 1) + 1e-12
+            for y, (trust, hops) in table.items():
+                if hops > 1:
+                    assert abs(trust) <= 0.8 ** (hops - 1) + 1e-12
 
 
 def test_oracle_equivalence_small_graphs():

@@ -3,18 +3,16 @@ from hypothesis import given, strategies as st
 from pytest import approx
 
 from trustgrid.model import Dataset, UnknownUserError
-from trustgrid.propagation import NetworkState, TrustEntry, TrustTable, propagate
+from trustgrid.propagation import NetworkState, propagate
 from trustgrid.recommender import (EmptyContributorsError, confidence,
                                    neighborhood_raters, recommend)
 
 
 def state_with_table(owner, trusts):
     """NetworkState whose only populated table maps target -> trust value."""
-    entries = {t: TrustEntry(t, v, "direct" if h == 1 else "inferred", h)
-               for t, (v, h) in trusts.items()}
-    tables = {owner: TrustTable(owner, entries)}
+    tables = {owner: dict(trusts)}
     for t in trusts:
-        tables.setdefault(t, TrustTable(t))
+        tables.setdefault(t, {})
     return NetworkState(tables, round=1)
 
 
