@@ -51,6 +51,14 @@ def _add_propagation_flags(p):
     p.add_argument("--snapshot", help="snapshot file to write (propagate) or reuse")
 
 
+def fraction(text: str) -> float:
+    """A sample fraction in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"{text} is not in (0, 1]")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trustgrid")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -91,7 +99,7 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=int)
     p.add_argument("--leave-one-out", action="store_true",
                    help="hide each trust edge and try to re-infer it")
-    p.add_argument("--sample", type=float, help="edge sample fraction")
+    p.add_argument("--sample", type=fraction, help="edge sample fraction")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation of a method")
@@ -99,7 +107,8 @@ def build_parser() -> _Parser:
     _add_propagation_flags(p)
     p.add_argument("--method", choices=evaluation.METHODS, required=True)
     p.add_argument("--view", choices=evaluation.VIEW_NAMES, default="all")
-    p.add_argument("--sample", type=float, help="held-out rating sample fraction")
+    p.add_argument("--sample", type=fraction,
+                   help="held-out rating sample fraction")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--horizon", type=int, default=3)
     p.add_argument("--jobs", type=int, default=1)
@@ -123,32 +132,14 @@ def _load(args):
                                getattr(args, "trust", None))
 
 
-def _check_snapshot_edges(state, dataset, path):
-    """Refuse a snapshot whose direct entries are not this run's trust edges,
-    then give each user without a table (no trust edges) an empty one."""
-    out = dataset.trust_adjacency.out
-    for owner in sorted(state.tables.keys() | out.keys()):
-        table = state.tables.get(owner, {})
-        saved = {t: trust for t, (trust, hops) in table.items() if hops == 1}
-        if saved != dict(out.get(owner, ())):
-            raise ingest.StaleSnapshotError(
-                f"{path}: direct trust of user {owner} differs from the "
-                f"trust input")
-    for user in dataset.users:
-        state.tables.setdefault(user, {})
-
-
 def _network_state(args, dataset, config):
     state = None
     if args.snapshot:
         try:
-            ingest.check_snapshot_config(args.snapshot, config)
-            state = ingest.load_snapshot(args.snapshot)
+            state = ingest.load_snapshot(args.snapshot, dataset, config)
             log.info("loaded snapshot %s (round %d)", args.snapshot, state.round)
         except FileNotFoundError:
             pass
-        else:
-            _check_snapshot_edges(state, dataset, args.snapshot)
     if state is None:
         state = propagate(dataset, config)
         if args.snapshot:

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from .model import Dataset, RATING_MAX, RATING_MIN, TrustgridError
-from .propagation import DIRECT, INFERRED, NetworkState
+from .propagation import DIRECT, INFERRED, NetworkState, init_network
 
 SNAPSHOT_MAGIC = "trustgrid-snapshot"
 SNAPSHOT_VERSION = "v1"
@@ -30,8 +30,8 @@ class VersionError(TrustgridError):
 
 
 class StaleSnapshotError(TrustgridError):
-    """A snapshot was built with other propagation settings or trust edges
-    than this run's."""
+    """A snapshot was built with other propagation settings, round limit or
+    trust edges than this run's."""
 
 
 def _data_lines(stream, start=1):
@@ -244,9 +244,16 @@ def save_snapshot(state: NetworkState, path, config=None) -> None:
                 fh.write(f"{owner} {target} {trust!r} {origin} {hops}\n")
 
 
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
 def _read_header(fh, path) -> dict:
-    """A snapshot's first line: `round` and `converged` as ints, `lambda` and
-    `threshold` as floats, or None when saved as `na` (without a config)."""
+    """A snapshot's first line: `round` as an int, `converged` as a bool,
+    `lambda` and `threshold` as floats, or None when saved as `na` (without
+    a config)."""
     header = fh.readline().split()
     if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
         raise VersionError(f"{path}: not a trustgrid snapshot")
@@ -255,7 +262,7 @@ def _read_header(fh, path) -> dict:
     meta = {"round": "0", "converged": "0", "lambda": "na", "threshold": "na"}
     meta.update(tok.split("=", 1) for tok in header[2:] if "=" in tok)
     fields = {}
-    for key, kind in (("round", int), ("converged", int),
+    for key, kind in (("round", int), ("converged", _flag),
                       ("lambda", float), ("threshold", float)):
         if kind is float and meta[key] == "na":
             fields[key] = None
@@ -268,25 +275,38 @@ def _read_header(fh, path) -> dict:
     return fields
 
 
-def check_snapshot_config(path, config) -> None:
-    """Refuse a snapshot whose header records another damping or storage
-    threshold than `config`; `na` (saved without a config) matches any."""
+def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
+    """This run's state: init_network(dataset) plus a snapshot's inferred
+    entries, bit-exact. StaleSnapshotError when the snapshot's damping or
+    storage threshold (`na` matches any), round or entries do not fit this
+    run."""
+    state = init_network(dataset)
+    tables = state.tables
+    direct = set()  # (owner, target) of the direct lines read so far
+
+    def stale(user):
+        return StaleSnapshotError(
+            f"{path}: direct trust of user {user} differs from the trust input")
+
     with open(path, encoding="utf-8") as fh:
         meta = _read_header(fh, path)
-    for key, value in (("lambda", config.damping),
-                       ("threshold", config.store_threshold)):
-        saved = meta[key]
-        if saved is not None and saved != value:
+        for key, value in (("lambda", config.damping),
+                           ("threshold", config.store_threshold)):
+            saved = meta[key]
+            if saved is not None and saved != value:
+                raise StaleSnapshotError(
+                    f"{path}: snapshot was built with {key}={saved!r}, "
+                    f"but this run uses {key}={value!r}")
+        state.round, state.converged = meta["round"], meta["converged"]
+        # a run converges in a round from 1 to max_rounds or stops
+        # unconverged at max_rounds
+        if not (0 < state.round <= config.max_rounds if state.converged
+                else state.round == config.max_rounds):
             raise StaleSnapshotError(
-                f"{path}: snapshot was built with {key}={saved!r}, "
-                f"but this run uses {key}={value!r}")
-
-
-def load_snapshot(path) -> NetworkState:
-    """Reload a snapshot written by save_snapshot; round-trip is bit-exact."""
-    with open(path, encoding="utf-8") as fh:
-        meta = _read_header(fh, path)
-        tables: dict[int, dict[int, tuple[float, int]]] = {}
+                f"{path}: snapshot "
+                f"{'converged' if state.converged else 'stopped unconverged'} "
+                f"at round {state.round}, but this run uses "
+                f"max_rounds={config.max_rounds}")
         for line_no, line in _data_lines(fh, start=2):
             fields = line.split()
             is_node = fields[0] == "node" and len(fields) == 2
@@ -294,15 +314,14 @@ def load_snapshot(path) -> NetworkState:
                 raise ParseError(line_no, f"expected 5 fields, got {len(fields)}")
             try:
                 if is_node:
-                    owner = int(fields[1])
+                    int(fields[1])
                 else:
                     owner, target, hops = int(fields[0]), int(fields[1]), int(fields[4])
                     trust = float(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed field in {line!r}") from None
-            table = tables.setdefault(owner, {})
             if is_node:
-                continue
+                continue  # init_network gave every dataset user a table
             origin = fields[3]
             if origin not in (DIRECT, INFERRED):
                 raise ParseError(line_no, f"unknown entry origin {origin!r}")
@@ -312,6 +331,23 @@ def load_snapshot(path) -> NetworkState:
                 raise ParseError(line_no, f"{origin} entry with hops {hops}")
             if not -1.0 <= trust <= 1.0:
                 raise ParseError(line_no, f"trust value {trust} outside [-1,1]")
-            table[target] = (trust, hops)
-    return NetworkState(tables, round=meta["round"],
-                        converged=bool(meta["converged"]))
+            if owner == target:
+                raise ParseError(line_no, f"self entry of user {owner}")
+            table = tables.get(owner)
+            if table is None or target not in tables:
+                raise stale(owner if table is None else target)
+            entry = table.get(target)
+            if entry is not None and (entry[1] > 1 or (owner, target) in direct):
+                raise ParseError(line_no, f"repeated entry {owner} {target}")
+            if origin == DIRECT:
+                if entry != (trust, 1):
+                    raise stale(owner)
+                direct.add((owner, target))
+            elif entry is None:
+                table[target] = (trust, hops)
+            else:  # an inferred entry for a direct target
+                raise stale(owner)
+    if len(direct) != dataset.n_trust_edges:
+        raise stale(next(s for s, t, _ in dataset.trust_edge_list()
+                         if (s, t) not in direct))
+    return state

@@ -119,12 +119,15 @@ def test_evaluate_proposed_with_snapshot_cache(tmp_path, capsys):
     assert main(["synth", "--users", "60", "--items", "80", "--seed", "3",
                  "--out-ratings", str(r), "--out-trust", str(t)]) == 0
     snap = tmp_path / "net.snap"
+    query = ["evaluate", "--ratings", str(r), "--trust", str(t),
+             "--method", "proposed", "--sample", "0.3", "--seed", "1"]
+    capsys.readouterr()
+    assert main(query) == 0
+    fresh = capsys.readouterr().out
+    assert "method=proposed" in fresh
     for _ in range(2):  # second run loads the cached snapshot
-        code = main(["evaluate", "--ratings", str(r), "--trust", str(t),
-                     "--method", "proposed", "--sample", "0.3", "--seed", "1",
-                     "--snapshot", str(snap)])
-        assert code == 0
-        assert "method=proposed" in capsys.readouterr().out
+        assert main(query + ["--snapshot", str(snap)]) == 0
+        assert capsys.readouterr().out == fresh
     assert snap.exists()
 
 
@@ -194,6 +197,42 @@ def test_snapshot_covers_raters_without_trust_edges(tmp_path, capsys):
     fresh = capsys.readouterr().out
     assert main(query + ["--snapshot", str(snap)]) == 0
     assert capsys.readouterr().out == fresh
+
+
+def test_snapshot_from_other_max_rounds_is_data_error(tmp_path, caplog, capsys):
+    trust, snap = tmp_path / "t.txt", tmp_path / "net.snap"
+    trust.write_text("0 1 1\n1 2 1\n2 3 1\n")  # converges in round 3
+    query = ["trust", "--trust", str(trust), "--threshold", "0",
+             "--source", "0", "--target", "3"]
+    assert main(["propagate", "--trust", str(trust), "--threshold", "0",
+                 "--max-rounds", "1", "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    assert main(query) == 0
+    assert capsys.readouterr().out == "trust=0.640000 origin=inferred hops=3\n"
+    assert main(query + ["--snapshot", str(snap)]) == 2  # stopped at round 1
+    assert capsys.readouterr().out == ""
+    assert "max_rounds=50" in caplog.text
+    assert main(query + ["--max-rounds", "1", "--snapshot", str(snap)]) == 0
+    assert capsys.readouterr().out == "no trust entry\n"
+    snap.unlink()
+    assert main(query + ["--snapshot", str(snap)]) == 0  # writes round 3
+    capsys.readouterr()
+    caplog.clear()
+    assert main(query + ["--max-rounds", "2", "--snapshot", str(snap)]) == 2
+    assert "converged at round 3" in caplog.text and "max_rounds=2" in caplog.text
+    assert main(query + ["--max-rounds", "3", "--snapshot", str(snap)]) == 0
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trust"])
+@pytest.mark.parametrize("sample", ["-0.5", "0", "1.5", "nan"])
+def test_sample_outside_unit_interval_is_usage_error(small_dataset, command,
+                                                     sample, caplog):
+    ratings, trust = small_dataset
+    argv = [command, "--ratings", str(ratings), "--trust", str(trust),
+            "--sample", sample]
+    argv += ["--method", "avg"] if command == "evaluate" else ["--leave-one-out"]
+    assert main(argv) == 1
+    assert "argument --sample" in caplog.text
 
 
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither

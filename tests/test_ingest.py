@@ -2,11 +2,10 @@ import io
 
 import pytest
 
-from trustgrid.ingest import (DatasetStats, ParseError, SyntheticSpec,
-                              VersionError, check_snapshot_config,
-                              dataset_stats, generate_synthetic,
-                              load_snapshot, parse_ratings, parse_trust,
-                              save_snapshot)
+from trustgrid.ingest import (DatasetStats, ParseError, StaleSnapshotError,
+                              SyntheticSpec, VersionError, dataset_stats,
+                              generate_synthetic, load_snapshot,
+                              parse_ratings, parse_trust, save_snapshot)
 from trustgrid.model import Dataset
 from trustgrid.propagation import PropagationConfig, init_network, propagate
 
@@ -99,7 +98,7 @@ def test_snapshot_round_trip(tmp_path):
     state = propagate(ds, config)
     path = tmp_path / "state.snap"
     save_snapshot(state, path, config)
-    loaded = load_snapshot(path)
+    loaded = load_snapshot(path, ds, config)
     assert loaded == state
 
 
@@ -108,7 +107,7 @@ def test_snapshot_round_trip_init_state(tmp_path):
     state = init_network(ds)
     path = tmp_path / "init.snap"
     save_snapshot(state, path)
-    loaded = load_snapshot(path)
+    loaded = load_snapshot(path, ds, PropagationConfig(max_rounds=0))
     assert loaded == state
     assert all(hops == 1 for t in loaded.tables.values()
                for _, hops in t.values())
@@ -121,14 +120,14 @@ def test_snapshot_unknown_version(tmp_path):
     path = tmp_path / "bad.snap"
     path.write_text("trustgrid-snapshot v999 round=0\n")
     with pytest.raises(VersionError):
-        load_snapshot(path)
+        load_snapshot(path, Dataset(), PropagationConfig())
 
 
 def test_snapshot_not_a_snapshot(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("1 2 3\n")
     with pytest.raises(VersionError):
-        load_snapshot(path)
+        load_snapshot(path, Dataset(), PropagationConfig())
 
 
 @pytest.mark.parametrize("bad_line", [
@@ -142,23 +141,48 @@ def test_snapshot_not_a_snapshot(tmp_path):
     "0 1 7.5 direct 1",      # trust outside [-1, 1]
     "0 1 0.5 direct 2",      # direct entries have hops 1
     "0 1 0.5 inferred 1",    # inferred entries have hops >= 2
+    "0 1 1.0 direct 1",      # repeats line 4
+    "0 2 0.9 inferred 2",    # repeats line 5
+    "0 1 0.9 inferred 2",    # repeats line 4's (owner, target)
+    "0 0 0.9 inferred 2",    # self entry
 ])
 def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
     path = tmp_path / "bad.snap"
     path.write_text("trustgrid-snapshot v1 round=1\n"
-                    "# comment\nnode 0\n" + bad_line + "\n")
-    with pytest.raises(ParseError, match="^line 4: "):
-        load_snapshot(path)
+                    "# comment\nnode 0\n0 1 1.0 direct 1\n0 2 0.9 inferred 2\n"
+                    + bad_line + "\n")
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(ParseError, match="^line 6: "):
+        load_snapshot(path, ds, PropagationConfig(max_rounds=1))
 
 
 @pytest.mark.parametrize("field", [
-    "round=x", "converged=x", "lambda=abc", "threshold=x",
+    "round=x", "converged=x", "converged=7", "lambda=abc", "threshold=x",
 ])
 def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
     path = tmp_path / "bad.snap"
     path.write_text(f"trustgrid-snapshot v1 {field}\nnode 0\n")
     key, value = field.split("=")
-    for read in (load_snapshot,
-                 lambda p: check_snapshot_config(p, PropagationConfig())):
-        with pytest.raises(ParseError, match=f"^line 1: .*{key}='{value}'"):
-            read(path)
+    with pytest.raises(ParseError, match=f"^line 1: .*{key}='{value}'"):
+        load_snapshot(path, Dataset(), PropagationConfig())
+
+
+@pytest.mark.parametrize("entry", ["0 9 0.8 inferred 2", "9 0 0.8 inferred 2"])
+def test_snapshot_entry_of_user_outside_dataset_is_stale(tmp_path, entry):
+    path = tmp_path / "net.snap"
+    path.write_text("trustgrid-snapshot v1 round=0\n0 1 1.0 direct 1\n"
+                    + entry + "\n")
+    ds = Dataset([], [(0, 1, 1.0)])
+    with pytest.raises(StaleSnapshotError, match="user 9 "):
+        load_snapshot(path, ds, PropagationConfig(max_rounds=0))
+
+
+@pytest.mark.parametrize("header", [
+    "round=4 converged=1", "round=2 converged=0", "round=0 converged=1",
+    "round=-1 converged=1",
+])
+def test_snapshot_round_no_run_reaches_is_stale(tmp_path, header):
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 {header}\n")
+    with pytest.raises(StaleSnapshotError, match="max_rounds=3"):
+        load_snapshot(path, Dataset(), PropagationConfig(max_rounds=3))
