@@ -244,6 +244,9 @@ def _cmd_trust(args):
     dataset = _load(args)
     config = _config_from_args(args)
     if args.leave_one_out:
+        for flag in ("snapshot", "source", "target"):
+            if getattr(args, flag) is not None:
+                raise _UsageError(f"--leave-one-out takes no --{flag}")
         coverage, error = evaluation.leave_one_out_trust(
             dataset, config, sample=args.sample, seed=args.seed)
         print(f"coverage={'na' if coverage is None else f'{coverage:.4f}'} "

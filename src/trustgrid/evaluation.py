@@ -10,7 +10,6 @@ disagreement thresholds.
 from __future__ import annotations
 
 import random
-import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -84,26 +83,30 @@ class EvalReport:
 
 # -- views ----------------------------------------------------------------
 
+def _count_and_spread(values) -> tuple[int, bool]:
+    """(n, population stdev > 1.5) of integer ratings, decided exactly:
+    n·Σr² − (Σr)² is n² times the variance, and variance > 9/4 holds iff
+    4·(n·Σr² − (Σr)²) > 9·n²."""
+    n = len(values)
+    total = sum(values)
+    squares = sum(v * v for v in values)
+    return n, 4 * (n * squares - total * total) > 9 * n * n
+
+
 def view_predicates(dataset: Dataset):
     """Per-view (user, item) predicates, computed from the full dataset."""
-    user_stats = {}
-    for u in dataset.users:
-        values = list(dataset.user_ratings(u).values())
-        user_stats[u] = (len(values),
-                         statistics.pstdev(values) if len(values) > 1 else 0.0)
-    item_stats = {}
-    for i in dataset.items:
-        values = list(dataset.item_raters(i).values())
-        item_stats[i] = (len(values),
-                         statistics.pstdev(values) if len(values) > 1 else 0.0)
+    user_stats = {u: _count_and_spread(dataset.user_ratings(u).values())
+                  for u in dataset.users}
+    item_stats = {i: _count_and_spread(dataset.item_raters(i).values())
+                  for i in dataset.items}
 
     return {
         "all": lambda u, i: True,
         "cold_start": lambda u, i: 1 <= user_stats[u][0] <= 4,
         "heavy_raters": lambda u, i: user_stats[u][0] > 10,
-        "opinionated": lambda u, i: user_stats[u][0] > 4 and user_stats[u][1] > 1.5,
+        "opinionated": lambda u, i: user_stats[u][0] > 4 and user_stats[u][1],
         "niche_items": lambda u, i: item_stats[i][0] < 5,
-        "controversial_items": lambda u, i: item_stats[i][1] > 1.5,
+        "controversial_items": lambda u, i: item_stats[i][1],
     }
 
 
@@ -154,19 +157,6 @@ def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
             mean_delta_cf=mae(cf_values) if cf_values else None,
         ))
     return points
-
-
-def max_depth_per_user(results) -> dict[int, int]:
-    """Histogram over users of the maximum depth needed to find any rating;
-    users with no found depth are excluded."""
-    per_user: dict[int, int] = {}
-    for r in results:
-        if r.predicted is not None and r.depth is not None and r.depth >= 0:
-            per_user[r.user] = max(per_user.get(r.user, -1), r.depth)
-    histogram: dict[int, int] = {}
-    for depth in per_user.values():
-        histogram[depth] = histogram.get(depth, 0) + 1
-    return histogram
 
 
 # -- leave-one-out over ratings -------------------------------------------
@@ -334,14 +324,13 @@ def leave_one_out_trust(dataset: Dataset,
     None when undefined.
     """
     config = config or PropagationConfig()
-    edges = dataset.trust_edge_list()
+    all_edges = edges = dataset.trust_edge_list()
     if sample is not None and sample < 1.0 and edges:
         k = max(1, round(sample * len(edges)))
         edges = sorted(random.Random(seed).sample(edges, k))
     if not edges:
         return None, None
 
-    all_edges = dataset.trust_edge_list()
     errors = []
     for held_out in edges:
         remaining = [e for e in all_edges if e != held_out]

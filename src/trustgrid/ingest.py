@@ -343,6 +343,11 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
                 if entry != (trust, 1):
                     raise stale(owner)
                 direct.add((owner, target))
+            elif 0.0 <= trust < config.store_threshold:
+                # run_round never stores a positive value below the threshold
+                raise StaleSnapshotError(
+                    f"{path}: line {line_no}: inferred trust {trust!r} is "
+                    f"below this run's threshold={config.store_threshold!r}")
             elif entry is None:
                 table[target] = (trust, hops)
             else:  # an inferred entry for a direct target

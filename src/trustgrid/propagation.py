@@ -4,10 +4,9 @@ Each user keeps one trust table, a plain `target -> (trust, hops)` map that
 holds direct and inferred entries alike. In every round a node reads only its
 positively-trusted direct neighbors' tables from the previous round and
 rebuilds its inferred entries: one damped weighted-average value for every
-target those tables mention. A node whose neighbors' tables did not change
-has nothing new to learn, so after the first round `propagate` rebuilds only
-the tables of nodes that positively trust a node whose table just changed.
-Rounds repeat until the largest value change drops below a tolerance.
+target those tables mention. Every node rebuilds its whole table in every
+round, and `propagate` is nothing but repeated rounds until the largest value
+change drops below a tolerance.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -105,24 +104,24 @@ def infer_trust(x: int, y: int,
     return None if result is None else result[0]
 
 
-def _apply_round(state: NetworkState, dataset: Dataset,
-                 config: PropagationConfig, nodes):
-    """Synchronously rebuild the tables of `nodes` from the round-k tables.
+def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
+    """One synchronous round: every node rebuilds its table from the round-k
+    tables.
 
     A node keeps its direct entries and infers every other target its
     positive neighbours' tables hold, except itself and positive values
-    below the storage threshold. Returns the round-(k+1) state plus
-    (max_change, entries_added, changed_nodes).
+    below the storage threshold. Returns (new_state, max_change,
+    entries_added). max_change is the largest absolute difference between an
+    inferred entry's old and new value, where appearing/disappearing entries
+    count as change from/to 0.
     """
     tables = state.tables
     adjacency = dataset.trust_adjacency
-    new_tables = dict(tables)
+    new_tables = {}
     max_change = 0.0
     entries_added = 0
-    changed_nodes = []
 
-    for x in nodes:
-        old = tables[x]
+    for x, old in tables.items():
         entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
         averages = _node_average(adjacency.positive_out.get(x, ()), tables,
                                  config.damping)
@@ -141,48 +140,23 @@ def _apply_round(state: NetworkState, dataset: Dataset,
         for y in old.keys() - entries.keys():  # no neighbour reports y now
             if abs(old[y][0]) > max_change:
                 max_change = abs(old[y][0])
-        if entries != old:
-            new_tables[x] = entries
-            changed_nodes.append(x)
+        new_tables[x] = entries
 
     next_state = NetworkState(new_tables, state.round + 1, state.converged)
-    return next_state, max_change, entries_added, changed_nodes
-
-
-def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
-    """One full synchronous round; every node rebuilds its table.
-
-    Returns (new_state, max_change, entries_added). max_change is the largest
-    absolute difference between an inferred entry's old and new value, where
-    appearing/disappearing entries count as change from/to 0.
-    """
-    next_state, max_change, entries_added, _ = _apply_round(
-        state, dataset, config, state.tables)
     return next_state, max_change, entries_added
 
 
 def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> NetworkState:
-    """Run rounds until max_change <= tolerance or max_rounds is reached.
-
-    After the first round only the nodes that positively trust a node whose
-    table just changed rebuild theirs: every other node would read the same
-    tables as last round, so results are identical to repeated full
-    run_round calls.
-    """
+    """init_network, then run_round until max_change <= tolerance or
+    max_rounds rounds have run."""
     if config is None:
         config = PropagationConfig()
     state = init_network(dataset)
-    if config.max_rounds == 0:
-        return state
-
-    positive_in = dataset.trust_adjacency.positive_in
-    nodes = state.tables
     for _ in range(config.max_rounds):
-        state, max_change, _, changed = _apply_round(state, dataset, config, nodes)
+        state, max_change, _ = run_round(state, dataset, config)
         if max_change <= config.tolerance:
             state.converged = True
             break
-        nodes = {x for i in changed for x, _ in positive_in.get(i, ())}
     return state
 
 

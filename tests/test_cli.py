@@ -235,6 +235,19 @@ def test_sample_outside_unit_interval_is_usage_error(small_dataset, command,
     assert "argument --sample" in caplog.text
 
 
+@pytest.mark.parametrize("flag", ["--snapshot", "--source", "--target"])
+def test_trust_leave_one_out_refuses_query_flags(small_dataset, tmp_path, flag,
+                                                 caplog, capsys):
+    _, trust = small_dataset
+    snap = tmp_path / "loo.snap"
+    value = str(snap) if flag == "--snapshot" else "0"
+    assert main(["trust", "--trust", str(trust), "--leave-one-out",
+                 flag, value]) == 1
+    assert f"--leave-one-out takes no {flag}" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not snap.exists()
+
+
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
 # converges in 50 rounds); an ulp of drift in the propagation kernel shows here
 GOLDEN_SNAPSHOTS = [

@@ -6,8 +6,7 @@ from trustgrid.evaluation import (EmptyInputError, HeldOutResult,
                                   coverage_metrics, delta_curve,
                                   evaluate_ratings, leave_one_out_ratings,
                                   leave_one_out_trust, mae, maue,
-                                  max_depth_per_user, sample_ratings,
-                                  view_predicates)
+                                  sample_ratings, view_predicates)
 from trustgrid.ingest import SyntheticSpec, generate_synthetic
 from trustgrid.model import Dataset
 from trustgrid.propagation import PropagationConfig
@@ -80,12 +79,6 @@ def test_delta_curve_nested_counts():
     assert counts == sorted(counts, reverse=True)
 
 
-def test_max_depth_per_user():
-    results = [result(1, 3.0, depth=1), result(1, 3.0, depth=3),
-               result(1, 3.0, depth=2), result(2, None), result(3, 3.0, depth=1)]
-    assert max_depth_per_user(results) == {3: 1, 1: 1}
-
-
 def test_unknown_method():
     with pytest.raises(UnknownMethodError):
         evaluate_ratings(Dataset([(0, 1, 3)]), "nope")
@@ -138,19 +131,23 @@ def test_report_histogram_sums_to_attempts():
 def test_view_predicates():
     ratings = [(0, i, 3) for i in range(3)]                    # cold start
     ratings += [(1, i, 1 if i % 2 else 5) for i in range(12)]  # heavy, opinionated
+    ratings += [(2, i, 1 if i % 2 else 4) for i in range(10)]  # pstdev exactly 1.5
     ds = Dataset(ratings)
     views = view_predicates(ds)
     assert views["cold_start"](0, 0) and not views["cold_start"](1, 0)
     assert views["heavy_raters"](1, 0) and not views["heavy_raters"](0, 0)
     assert views["opinionated"](1, 0) and not views["opinionated"](0, 0)
+    assert not views["opinionated"](2, 0)
     assert views["niche_items"](0, 0)       # every item has < 5 ratings here
 
 
 def test_controversial_items_view():
-    ds = Dataset([(0, 7, 1), (1, 7, 5), (0, 8, 3), (1, 8, 3)])
+    ds = Dataset([(0, 7, 1), (1, 7, 5), (0, 8, 3), (1, 8, 3),
+                  (0, 9, 1), (1, 9, 4)])  # item 9: pstdev exactly 1.5
     views = view_predicates(ds)
     assert views["controversial_items"](0, 7)
     assert not views["controversial_items"](0, 8)
+    assert not views["controversial_items"](0, 9)
 
 
 def test_loo_trust_triangle():

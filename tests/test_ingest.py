@@ -177,6 +177,25 @@ def test_snapshot_entry_of_user_outside_dataset_is_stale(tmp_path, entry):
         load_snapshot(path, ds, PropagationConfig(max_rounds=0))
 
 
+@pytest.mark.parametrize("trust", ["0.1", "0.0"])
+def test_snapshot_inferred_entry_below_threshold_is_stale(tmp_path, trust):
+    path = tmp_path / "net.snap"
+    path.write_text("trustgrid-snapshot v1 round=1 threshold=0.7\n"
+                    f"0 1 1.0 direct 1\n1 2 1.0 direct 1\n0 2 {trust} inferred 2\n")
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(StaleSnapshotError, match="line 4: .*threshold=0.7"):
+        load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+
+
+def test_snapshot_negative_inferred_entry_loads(tmp_path):
+    path = tmp_path / "net.snap"
+    path.write_text("trustgrid-snapshot v1 round=1 threshold=0.7\n"
+                    "0 1 1.0 direct 1\n1 2 -1.0 direct 1\n0 2 -0.8 inferred 2\n")
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, -1.0)])
+    state = load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+    assert state.tables[0] == {1: (1.0, 1), 2: (-0.8, 2)}
+
+
 @pytest.mark.parametrize("header", [
     "round=4 converged=1", "round=2 converged=0", "round=0 converged=1",
     "round=-1 converged=1",

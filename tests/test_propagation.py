@@ -155,7 +155,7 @@ def test_propagate_deterministic():
 
 
 def test_propagate_matches_run_round_sequence():
-    # the incremental loop inside propagate equals naive full rounds
+    # propagate equals stepping run_round by hand
     rng = random.Random(13)
     for _ in range(20):
         n, edges = random_graph(rng, max_nodes=8)
@@ -168,6 +168,26 @@ def test_propagate_matches_run_round_sequence():
                 state.converged = True
                 break
         assert state == propagate(ds, config)
+
+
+@pytest.mark.parametrize("max_rounds, expected", [
+    (48, None), (49, 0.8), (50, 0.72), (51, None),
+])
+def test_default_rule_has_no_fixed_point(max_rounds, expected):
+    # 2 and 3 trust each other and 0, which trusts 1. Their entry for 1 cycles
+    # 0.8, 0.72, 0.688 (dropped: below 0.7), then 0.8 again. While stored its
+    # only fixed value is v = 0.4 + 0.4v = 2/3, below the threshold, so the
+    # result depends on the round the run stops at
+    ds = Dataset([], [(0, 1, 1.0), (2, 0, 1.0), (2, 3, 1.0), (3, 0, 1.0),
+                      (3, 2, 1.0)])
+    state = propagate(ds, PropagationConfig(max_rounds=max_rounds))
+    assert not state.converged
+    for owner in (2, 3):
+        entry = state.tables[owner].get(1)
+        if expected is None:
+            assert entry is None
+        else:
+            assert entry == (approx(expected, abs=1e-12), 2)
 
 
 def test_dag_entry_growth_bound():
