@@ -77,24 +77,33 @@ def _path_trust(source, sink, dist, dataset):
     """TidalTrust's recursive average from source to a reachable sink.
 
     `dist` holds the forward BFS distances from source, exact up to
-    dist[sink]. The backward search from the sink stops at that depth, since
-    no node further away lies on a minimum-depth path. Returns (trust or
-    None, backward expansions).
+    dist[sink]. The nodes on minimum-depth paths are found by walking back
+    from the sink, stepping from a node at level d only to predecessors at
+    level d - 1, down to the source at level 0. Returns (trust or None,
+    expansions), expansions being the number of nodes whose in-list the walk
+    read.
     """
     adj = dataset.trust_adjacency.positive_out
+    pred = dataset.trust_adjacency.positive_in
     depth = dist[sink]
-    rdist, expansions = _bfs_distances(dataset.trust_adjacency.positive_in,
-                                       sink, max_depth=depth)
 
-    # nodes lying on some minimum-depth path
-    on_dag = {u for u in dist
-              if u in rdist and dist[u] + rdist[u] == depth}
+    # nodes lying on some minimum-depth path, level by level
+    on_dag = {sink}
+    by_level: dict[int, list[int]] = {depth: [sink]}
+    frontier = [sink]
+    expansions = 0
+    for level in range(depth - 1, -1, -1):
+        reached = []
+        for v in frontier:
+            for p, _ in pred.get(v, ()):
+                if p not in on_dag and dist.get(p) == level:
+                    on_dag.add(p)
+                    reached.append(p)
+        expansions += len(frontier)
+        by_level[level] = frontier = reached
 
     # strongest-path strength via DP in level order
     strength = {source: math.inf}
-    by_level: dict[int, list[int]] = {}
-    for u in on_dag:
-        by_level.setdefault(dist[u], []).append(u)
     for level in range(depth):
         for u in sorted(by_level.get(level, ())):
             if u not in strength:
@@ -133,8 +142,8 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
     The source's own rating is never used. queries_issued counts BFS node
     expansions, mirroring the per-recommendation query cost of the original
     algorithm: one forward search that stops at the depth of the closest
-    raters, then one backward search from each of those raters, bounded by
-    the same depth.
+    raters, then, for each of those raters, the nodes expanded by the walk
+    back over its minimum-depth paths to the source.
     """
     raters = dataset.item_raters(item)
     adj = dataset.trust_adjacency.positive_out

@@ -59,6 +59,14 @@ def fraction(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    """A count of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not a positive integer")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trustgrid")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -89,7 +97,7 @@ def build_parser() -> _Parser:
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--item", type=int, required=True)
     p.add_argument("--method", choices=evaluation.METHODS, default="proposed")
-    p.add_argument("--horizon", type=int, default=3,
+    p.add_argument("--horizon", type=positive_int, default=3,
                    help="MoleTrust propagation horizon (default 3)")
 
     p = sub.add_parser("trust", help="query inferred trust or evaluate edge prediction")
@@ -110,8 +118,8 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", type=fraction,
                    help="held-out rating sample fraction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=int, default=3)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--horizon", type=positive_int, default=3)
+    p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", help="write machine-readable report records here")
 
     return parser
@@ -230,7 +238,7 @@ def _cmd_recommend(args):
               f"rating_recall={rec.rating_recall:.4f}")
         return EXIT_OK
     predicted, depth, _ = evaluation._predict_one(
-        dataset, None, args.method, args.horizon, args.user, args.item)
+        dataset, None, args.method, args.horizon, args.user, args.item, {})
     if predicted is None:
         print("no prediction")
     elif depth is not None:

@@ -161,8 +161,13 @@ def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
 
 # -- leave-one-out over ratings -------------------------------------------
 
-def _predict_one(dataset, state, method, horizon, user, item):
-    """(predicted, depth, rating_recall) for one held-out rating."""
+def _predict_one(dataset, state, method, horizon, user, item, memo):
+    """(predicted, depth, rating_recall) for one held-out rating.
+
+    `memo` holds the MoleTrust weights of the last user scored: they depend
+    only on the user and the horizon, so consecutive records of one user
+    share one `mole_trust_scores` call.
+    """
     if method == "proposed":
         rec = recommend(state, user, item, dataset)
         if rec is None:
@@ -177,8 +182,12 @@ def _predict_one(dataset, state, method, horizon, user, item):
         recall = len(res.raters_considered) / others if others else None
         return res.predicted, res.depth, recall
     if method == "mole":
-        scores = baselines.mole_trust_scores(user, dataset, horizon)
-        weights = {u: s for u, s in scores.scores.items() if s > 0.0}
+        weights = memo.get(user)
+        if weights is None:
+            scores = baselines.mole_trust_scores(user, dataset, horizon)
+            memo.clear()
+            weights = memo[user] = {u: s for u, s in scores.scores.items()
+                                    if s > 0.0}
         return baselines.mole_trust_predict(
             user, item, weights, dataset, exclude_item=item), None, None
     if method == "avg":
@@ -189,10 +198,10 @@ def _predict_one(dataset, state, method, horizon, user, item):
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
-def _evaluate_record(dataset, state, method, horizon, record):
+def _evaluate_record(dataset, state, method, horizon, record, memo):
     user, item, actual = record
     predicted, depth, recall = _predict_one(dataset, state, method, horizon,
-                                            user, item)
+                                            user, item, memo)
     # delta_a/delta_cf baselines; reuse the prediction when the method is one
     if method == "avg":
         avg = predicted
@@ -215,11 +224,13 @@ _worker_ctx = {}
 
 def _init_worker(dataset, state, method, horizon):
     _worker_ctx["args"] = (dataset, state, method, horizon)
+    _worker_ctx["memo"] = {}
 
 
 def _worker_task(record):
     dataset, state, method, horizon = _worker_ctx["args"]
-    return _evaluate_record(dataset, state, method, horizon, record)
+    return _evaluate_record(dataset, state, method, horizon, record,
+                            _worker_ctx["memo"])
 
 
 def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
@@ -241,6 +252,9 @@ def evaluate_ratings(dataset: Dataset, method: str,
 
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
+    For `mole`, the trust scores of a user are computed once per run of
+    consecutive records of that user; the records come sorted by user, and
+    each worker gets contiguous chunks of them.
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
@@ -254,7 +268,9 @@ def evaluate_ratings(dataset: Dataset, method: str,
                                  initializer=_init_worker,
                                  initargs=(dataset, state, method, horizon)) as pool:
             return list(pool.map(_worker_task, records, chunksize=64))
-    return [_evaluate_record(dataset, state, method, horizon, r) for r in records]
+    memo = {}
+    return [_evaluate_record(dataset, state, method, horizon, r, memo)
+            for r in records]
 
 
 def build_report(results, method: str, view: str, dataset: Dataset,

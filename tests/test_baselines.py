@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from fractions import Fraction
 
 import pytest
 from pytest import approx
@@ -106,6 +107,122 @@ def test_tidal_binary_trust_degenerates_to_depth_average():
         else:
             assert res.depth == expected_depth
             assert res.predicted == approx(expected)
+
+
+def _min_depth_paths(source, sink, positive):
+    """Every minimum-length path from source to sink, by depth-first search
+    at increasing length limits; [] when the sink is unreachable."""
+    for limit in range(1, len(positive) + 2):
+        paths = []
+
+        def extend(path):
+            if len(path) - 1 == limit:
+                if path[-1] == sink:
+                    paths.append(path)
+                return
+            for v in positive.get(path[-1], {}):
+                if v not in path:
+                    extend(path + [v])
+
+        extend([source])
+        if paths:
+            return paths
+    return []
+
+
+def _tidal_trust_oracle(source, sink, positive):
+    """Golbeck's TidalTrust on the minimum-depth paths, in exact arithmetic.
+
+    The threshold is the max over those paths of their min edge weight. A
+    node that rates the sink directly uses that rating; any other node
+    averages its successors' trust, weighted by the edge, over the path
+    edges at or above the threshold. None when the sink is unreachable.
+    """
+    paths = _min_depth_paths(source, sink, positive)
+    if not paths:
+        return None
+    w = {(u, v): Fraction(positive[u][v]) for u in positive for v in positive[u]}
+    threshold = max(min(w[e] for e in zip(p, p[1:])) for p in paths)
+    successors = {}
+    for p in paths:
+        for u, v in zip(p, p[1:]):
+            successors.setdefault(u, set()).add(v)
+
+    def trust(u):
+        if sink in successors[u]:
+            return w[u, sink]
+        num = den = 0
+        for v in successors[u]:
+            t = trust(v)
+            if w[u, v] >= threshold and t is not None:
+                num += w[u, v] * t
+                den += w[u, v]
+        return num / den if den else None
+
+    return trust(source)
+
+
+def _weighted_graph(rng, n):
+    """Random signed edges: positive weights in (0, 1], some negative."""
+    edges = {}
+    for s in range(n):
+        for t in range(n):
+            if s != t and rng.random() < 0.25:
+                if rng.random() < 0.15:
+                    edges[s, t] = -rng.choice([1.0, rng.uniform(0.05, 1.0)])
+                else:
+                    edges[s, t] = rng.choice([1.0, round(rng.uniform(0.05, 1.0), 2),
+                                              rng.uniform(0.05, 1.0)])
+    positive = {}
+    for (s, t), v in edges.items():
+        if v > 0.0:
+            positive.setdefault(s, {})[t] = v
+    return edges, positive
+
+
+def test_tidal_weighted_matches_path_enumeration_oracle():
+    rng = random.Random(2005)
+    item = 1000
+    compared = 0
+    for _ in range(100):
+        n = rng.randint(3, 10)
+        edges, positive = _weighted_graph(rng, n)
+        ratings = {u: rng.randint(1, 5) for u in range(n) if rng.random() < 0.4}
+        ds = Dataset([(u, item, r) for u, r in sorted(ratings.items())],
+                     [(s, t, v) for (s, t), v in sorted(edges.items())],
+                     users=range(n), items=[item])
+
+        for sink in range(1, n):
+            expected = _tidal_trust_oracle(0, sink, positive)
+            got = tidal_trust_infer(0, sink, ds)
+            if expected is None:
+                assert got is None
+            else:
+                assert got == approx(float(expected))
+                compared += 1
+
+        depths = {}
+        for u in ratings:
+            paths = _min_depth_paths(0, u, positive) if u != 0 else []
+            if paths:
+                depths[u] = len(paths[0]) - 1
+        res = tidal_trust_recommend(0, item, ds)
+        if not depths:
+            assert (res.predicted, res.depth, res.raters_considered) == (None, -1, set())
+            continue
+        depth = min(depths.values())
+        trusts = {u: _tidal_trust_oracle(0, u, positive)
+                  for u, d in depths.items() if d == depth}
+        best = max(trusts.values())
+        selected = {u: t for u, t in trusts.items() if t == best}
+        expected = (sum(t * ratings[u] for u, t in selected.items())
+                    / sum(selected.values()))
+        assert res.depth == depth
+        assert res.predicted == approx(float(expected))
+        assert {u for u, _, _ in res.raters_considered} == set(selected)
+        for u, t, r in res.raters_considered:
+            assert t == approx(float(selected[u])) and r == ratings[u]
+    assert compared > 200
 
 
 def test_mole_scores_direct():

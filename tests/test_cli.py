@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from trustgrid.cli import main
+from trustgrid.cli import build_parser, main
 from trustgrid.ingest import load_dataset, save_snapshot
 from trustgrid.propagation import PropagationConfig, propagate
 
@@ -233,6 +233,29 @@ def test_sample_outside_unit_interval_is_usage_error(small_dataset, command,
     argv += ["--method", "avg"] if command == "evaluate" else ["--leave-one-out"]
     assert main(argv) == 1
     assert "argument --sample" in caplog.text
+
+
+@pytest.mark.parametrize("command, flag", [("evaluate", "--jobs"),
+                                           ("evaluate", "--horizon"),
+                                           ("recommend", "--horizon")])
+@pytest.mark.parametrize("value", ["0", "-3", "1.5", "two"])
+def test_count_below_one_is_usage_error(small_dataset, command, flag, value,
+                                        caplog, capsys):
+    ratings, trust = small_dataset
+    argv = [command, "--ratings", str(ratings), "--trust", str(trust),
+            "--method", "mole", flag, value]
+    argv += ["--user", "0", "--item", "7"] if command == "recommend" else []
+    assert main(argv) == 1
+    assert f"argument {flag}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flag", ["--jobs", "--horizon"])
+def test_count_flags_parse_large_values(flag):
+    # parsed only: a large --jobs must never start that many workers here
+    args = build_parser().parse_args(["evaluate", "--ratings", "r", "--trust", "t",
+                                      "--method", "mole", flag, "10000"])
+    assert getattr(args, flag[2:]) == 10000
 
 
 @pytest.mark.parametrize("flag", ["--snapshot", "--source", "--target"])

@@ -1,6 +1,7 @@
 import pytest
 from pytest import approx
 
+from trustgrid import baselines
 from trustgrid.evaluation import (EmptyInputError, HeldOutResult,
                                   UnknownMethodError, build_report,
                                   coverage_metrics, delta_curve,
@@ -169,3 +170,36 @@ def test_evaluate_jobs_parallel_matches_serial():
     serial = evaluate_ratings(ds, "avg", sample=0.3, seed=3, jobs=1)
     parallel = evaluate_ratings(ds, "avg", sample=0.3, seed=3, jobs=2)
     assert serial == parallel
+
+
+@pytest.mark.parametrize("method", ["mole", "tidal"])
+def test_evaluate_search_jobs_parallel_matches_serial(method):
+    ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100, rng_seed=2))
+    serial = evaluate_ratings(ds, method, sample=0.3, seed=3, jobs=1)
+    parallel = evaluate_ratings(ds, method, sample=0.3, seed=3, jobs=2)
+    assert any(r.predicted is not None for r in serial)
+    assert serial == parallel
+
+
+def test_mole_scores_computed_once_per_user(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100, rng_seed=2))
+    records = sample_ratings(ds, 0.3, seed=3)
+    expected = []
+    for user, item, _ in records:
+        scores = baselines.mole_trust_scores(user, ds).scores
+        weights = {u: s for u, s in scores.items() if s > 0.0}
+        expected.append(baselines.mole_trust_predict(user, item, weights, ds,
+                                                     exclude_item=item))
+    scored = []
+    original = baselines.mole_trust_scores
+
+    def counting(source, dataset, horizon=3):
+        scored.append(source)
+        return original(source, dataset, horizon)
+
+    monkeypatch.setattr(baselines, "mole_trust_scores", counting)
+    results = evaluate_ratings(ds, "mole", sample=0.3, seed=3)
+    users = {u for u, _, _ in records}
+    assert len(records) > len(users)
+    assert sorted(scored) == sorted(users)
+    assert [r.predicted for r in results] == expected
