@@ -1,13 +1,13 @@
 """Distributed trust propagation and trust-aware recommendation."""
 
-from .model import (Dataset, Rating, TrustEdge, TrustgridError,
+from .model import (Dataset, TrustgridError,
                     NoRatingsError, UnknownItemError, UnknownUserError)
 from .propagation import (NetworkState, PropagationConfig, infer_trust,
                           init_network, propagate, query_trust, run_round)
 from .recommender import Recommendation, confidence, neighborhood_raters, recommend
 
 __all__ = [
-    "Dataset", "Rating", "TrustEdge", "TrustgridError", "NoRatingsError",
+    "Dataset", "TrustgridError", "NoRatingsError",
     "UnknownItemError", "UnknownUserError",
     "NetworkState", "PropagationConfig", "infer_trust", "init_network",
     "propagate", "query_trust", "run_round",

@@ -126,8 +126,12 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> PropagationConfig:
-    return PropagationConfig(damping=args.damping, store_threshold=args.threshold,
-                             max_rounds=args.max_rounds, tolerance=args.tol)
+    """The run's PropagationConfig; a value it refuses is a usage error."""
+    try:
+        return PropagationConfig(damping=args.damping, store_threshold=args.threshold,
+                                 max_rounds=args.max_rounds, tolerance=args.tol)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _echo_config(args) -> dict:
@@ -208,8 +212,8 @@ def _cmd_synth(args):
 
 
 def _cmd_propagate(args):
-    dataset = _load(args)
     config = _config_from_args(args)
+    dataset = _load(args)
     state = propagate(dataset, config)
     if args.snapshot:
         ingest.save_snapshot(state, args.snapshot, config)
@@ -222,11 +226,11 @@ def _cmd_propagate(args):
 
 
 def _cmd_recommend(args):
+    config = _config_from_args(args)
     dataset = _load(args)
     dataset._check_user(args.user)
     if args.item not in dataset.items:
         raise UnknownItemError(f"unknown item {args.item}")
-    config = _config_from_args(args)
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
         rec = recommend(state, args.user, args.item, dataset)
@@ -249,8 +253,8 @@ def _cmd_recommend(args):
 
 
 def _cmd_trust(args):
-    dataset = _load(args)
     config = _config_from_args(args)
+    dataset = _load(args)
     if args.leave_one_out:
         for flag in ("snapshot", "source", "target"):
             if getattr(args, flag) is not None:
@@ -273,8 +277,8 @@ def _cmd_trust(args):
 
 
 def _cmd_evaluate(args):
-    dataset = _load(args)
     config = _config_from_args(args)
+    dataset = _load(args)
     state = None
     if args.method == "proposed":
         state = _network_state(args, dataset, config)

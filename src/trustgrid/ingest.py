@@ -12,7 +12,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .model import Dataset, RATING_MAX, RATING_MIN, TrustgridError
+from .model import (Dataset, RATING_MAX, RATING_MIN, TrustgridError,
+                    check_rating, check_trust_edge)
 from .propagation import DIRECT, INFERRED, NetworkState, init_network
 
 SNAPSHOT_MAGIC = "trustgrid-snapshot"
@@ -55,11 +56,10 @@ def parse_ratings(stream) -> list[tuple[int, int, int]]:
             user, item, value = int(fields[0]), int(fields[1]), int(fields[2])
         except ValueError:
             raise ParseError(line_no, f"non-integer field in {line!r}") from None
-        if user < 0 or item < 0:
-            raise ParseError(line_no, "negative user or item id")
-        if not RATING_MIN <= value <= RATING_MAX:
-            raise ParseError(
-                line_no, f"rating {value} outside [{RATING_MIN},{RATING_MAX}]")
+        try:
+            check_rating(user, item, value)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         records.append((user, item, value))
     return records
 
@@ -75,10 +75,10 @@ def parse_trust(stream) -> list[tuple[int, int, float]]:
             source, target, value = int(fields[0]), int(fields[1]), float(fields[2])
         except ValueError:
             raise ParseError(line_no, f"malformed field in {line!r}") from None
-        if source < 0 or target < 0:
-            raise ParseError(line_no, "negative user id")
-        if not -1.0 <= value <= 1.0:
-            raise ParseError(line_no, f"trust value {value} outside [-1,1]")
+        try:
+            check_trust_edge(source, target, value)
+        except ValueError as exc:
+            raise ParseError(line_no, str(exc)) from None
         records.append((source, target, value))
     return records
 

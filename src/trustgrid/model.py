@@ -1,9 +1,10 @@
-"""Core domain types: users, items, ratings, trust edges, and the immutable Dataset."""
+"""Core domain types: the validity rules for a rating and a trust edge, and
+the immutable Dataset, whose trust adjacency is built with it and is the
+only store of its trust edges."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 RATING_MIN = 1
@@ -26,33 +27,24 @@ class NoRatingsError(TrustgridError):
     """The user has no ratings, so a rating mean is undefined."""
 
 
-@dataclass(frozen=True, slots=True)
-class Rating:
-    user: int
-    item: int
-    value: int
-
-    def __post_init__(self):
-        if not isinstance(self.value, int) or not RATING_MIN <= self.value <= RATING_MAX:
-            raise ValueError(f"rating value {self.value!r} not an integer in "
-                             f"[{RATING_MIN},{RATING_MAX}]")
-        if self.user < 0 or self.item < 0:
-            raise ValueError("user and item ids must be non-negative")
+def check_rating(user: int, item: int, value: int) -> None:
+    """Raise ValueError unless (user, item, value) is a valid rating."""
+    if not isinstance(value, int) or not RATING_MIN <= value <= RATING_MAX:
+        raise ValueError(f"rating value {value!r} not an integer in "
+                         f"[{RATING_MIN},{RATING_MAX}]")
+    if user < 0 or item < 0:
+        raise ValueError("user and item ids must be non-negative")
 
 
-@dataclass(frozen=True, slots=True)
-class TrustEdge:
-    source: int
-    target: int
-    value: float
+def check_trust_edge(source: int, target: int, value: float) -> None:
+    """Raise ValueError unless (source, target, value) is a valid trust edge.
 
-    def __post_init__(self):
-        if self.source == self.target:
-            raise ValueError(f"self-trust edge on user {self.source}")
-        if not -1.0 <= self.value <= 1.0:
-            raise ValueError(f"trust value {self.value!r} outside [-1,1]")
-        if self.source < 0 or self.target < 0:
-            raise ValueError("user ids must be non-negative")
+    Self edges are not an error here; Dataset drops and counts them.
+    """
+    if not -1.0 <= value <= 1.0:
+        raise ValueError(f"trust value {value!r} outside [-1,1]")
+    if source < 0 or target < 0:
+        raise ValueError("user ids must be non-negative")
 
 
 class TrustAdjacency(NamedTuple):
@@ -75,24 +67,24 @@ class IngestWarnings:
 class Dataset:
     """Immutable store of users, items, ratings and directed trust edges.
 
-    Construction validates every record (ratings are integers in [1,5], trust
-    values lie in [-1,1], no self-trust) and builds per-user and per-item
-    indexes. Duplicate (user, item) ratings and duplicate (source, target)
-    edges resolve to the last occurrence; self-trust edges are dropped. All
-    three events are counted in ``warnings``. After construction the dataset
-    is read-only and safe to share across workers.
+    Construction validates every record with ``check_rating`` and
+    ``check_trust_edge`` and builds per-user and per-item rating indexes and
+    ``trust_adjacency``, the only store of the trust edges. Duplicate (user,
+    item) ratings and duplicate (source, target) edges resolve to the last
+    occurrence; self-trust edges are dropped. All three events are counted in
+    ``warnings``. After construction the dataset is read-only and safe to
+    share across workers.
     """
 
     def __init__(self, ratings=(), trust_edges=(), users=(), items=()):
         self.warnings = IngestWarnings()
         self._ratings_by_user: dict[int, dict[int, int]] = {}
         self._ratings_by_item: dict[int, dict[int, int]] = {}
-        self._trust_out: dict[int, dict[int, float]] = {}
         self.users: set[int] = set(users)
         self.items: set[int] = set(items)
 
         for user, item, value in ratings:
-            Rating(user, item, value)  # validate
+            check_rating(user, item, value)
             self.users.add(user)
             self.items.add(item)
             by_user = self._ratings_by_user.setdefault(user, {})
@@ -101,17 +93,28 @@ class Dataset:
             by_user[item] = value
             self._ratings_by_item.setdefault(item, {})[user] = value
 
+        edges: dict[tuple[int, int], float] = {}
         for source, target, value in trust_edges:
             if source == target:
                 self.warnings.self_trust_edges += 1
                 continue
-            TrustEdge(source, target, value)  # validate
+            check_trust_edge(source, target, value)
             self.users.add(source)
             self.users.add(target)
-            out = self._trust_out.setdefault(source, {})
-            if target in out:
+            if (source, target) in edges:
                 self.warnings.duplicate_trust_edges += 1
-            out[target] = value
+            edges[source, target] = value
+
+        # Propagation and the search baselines all walk these lists; building
+        # them from the edges sorted by (source, target) fixes every walk's
+        # (and every float sum's) order.
+        self.trust_adjacency = TrustAdjacency({}, {}, {})
+        out, positive_out, positive_in = self.trust_adjacency
+        for (s, t), v in sorted(edges.items()):
+            out.setdefault(s, []).append((t, v))
+            if v > 0.0:
+                positive_out.setdefault(s, []).append((t, v))
+                positive_in.setdefault(t, []).append((s, v))
 
     # -- counts -----------------------------------------------------------
 
@@ -121,7 +124,7 @@ class Dataset:
 
     @property
     def n_trust_edges(self) -> int:
-        return sum(len(t) for t in self._trust_out.values())
+        return sum(len(t) for t in self.trust_adjacency.out.values())
 
     # -- accessors --------------------------------------------------------
 
@@ -153,39 +156,10 @@ class Dataset:
             raise UnknownItemError(f"unknown item {item}")
         return self._ratings_by_item.get(item, {})
 
-    def direct_trust(self, source: int, target: int) -> float | None:
-        """The directed edge value source -> target, or None if absent."""
-        self._check_user(source)
-        self._check_user(target)
-        return self._trust_out.get(source, {}).get(target)
-
-    def trust_neighbors(self, user: int) -> dict[int, float]:
-        """Outgoing trust edges of `user` as a target -> value map."""
-        self._check_user(user)
-        return self._trust_out.get(user, {})
-
     def trust_edge_list(self) -> list[tuple[int, int, float]]:
-        """All edges as (source, target, value), sorted for determinism."""
-        return [(s, t, v)
-                for s in sorted(self._trust_out)
-                for t, v in sorted(self._trust_out[s].items())]
-
-    @cached_property
-    def trust_adjacency(self) -> TrustAdjacency:
-        """Out- and in-lists of the trust graph, built on first use and
-        shared read-only by every caller.
-
-        Propagation and the search baselines all walk these lists; building
-        them from the sorted edge list fixes every walk's (and every float
-        sum's) order.
-        """
-        adjacency = TrustAdjacency({}, {}, {})
-        for s, t, v in self.trust_edge_list():
-            adjacency.out.setdefault(s, []).append((t, v))
-            if v > 0.0:
-                adjacency.positive_out.setdefault(s, []).append((t, v))
-                adjacency.positive_in.setdefault(t, []).append((s, v))
-        return adjacency
+        """All edges as (source, target, value), sorted by (source, target)."""
+        return [(s, t, v) for s, targets in self.trust_adjacency.out.items()
+                for t, v in targets]
 
     def rating_list(self) -> list[tuple[int, int, int]]:
         """All ratings as (user, item, value), sorted for determinism."""

@@ -161,9 +161,11 @@ def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> Netw
 
 
 def query_trust(state: NetworkState, x: int, y: int):
-    """Entry from x's table as (trust, origin, hops), or None if absent."""
-    if x not in state.tables:
-        raise UnknownUserError(f"unknown user {x}")
+    """Entry from x's table as (trust, origin, hops), or None if absent.
+    UnknownUserError when x or y has no table."""
+    for user in (x, y):
+        if user not in state.tables:
+            raise UnknownUserError(f"unknown user {user}")
     entry = state.tables[x].get(y)
     if entry is None:
         return None

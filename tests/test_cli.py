@@ -258,6 +258,52 @@ def test_count_flags_parse_large_values(flag):
     assert getattr(args, flag[2:]) == 10000
 
 
+PROPAGATION_FLAG_MESSAGES = {
+    "--lambda": "damping must be in (0,1]",
+    "--threshold": "store_threshold must be in [0,1]",
+    "--max-rounds": "max_rounds must be >= 0",
+    "--tol": "tolerance must be >= 0",
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("propagate", "--lambda", "0"), ("propagate", "--lambda", "1.5"),
+    ("propagate", "--threshold", "1.5"), ("propagate", "--max-rounds", "-2"),
+    ("propagate", "--tol", "-1"), ("evaluate", "--lambda", "1.5"),
+])
+def test_propagation_flag_out_of_range_is_usage_error(small_dataset, command, flag,
+                                                      value, caplog, capsys):
+    ratings, trust = small_dataset
+    argv = [command, "--ratings", str(ratings), "--trust", str(trust), flag, value]
+    argv += ["--method", "proposed"] if command == "evaluate" else []
+    assert main(argv) == 1
+    assert f"usage error: {PROPAGATION_FLAG_MESSAGES[flag]}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_propagate_max_rounds_zero_is_valid(small_dataset, capsys):
+    _, trust = small_dataset
+    assert main(["propagate", "--trust", str(trust), "--max-rounds", "0"]) == 0
+    assert capsys.readouterr().out.startswith("rounds=0 converged=False")
+
+
+@pytest.mark.parametrize("source, target", [("99", "0"), ("0", "99")])
+def test_trust_query_unknown_user_is_data_error(small_dataset, source, target,
+                                                caplog, capsys):
+    _, trust = small_dataset
+    assert main(["trust", "--trust", str(trust), "--source", source,
+                 "--target", target]) == 2
+    assert "unknown user 99" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_trust_self_query_has_no_entry(small_dataset, capsys):
+    _, trust = small_dataset
+    assert main(["trust", "--trust", str(trust), "--source", "0",
+                 "--target", "0"]) == 0
+    assert capsys.readouterr().out == "no trust entry\n"
+
+
 @pytest.mark.parametrize("flag", ["--snapshot", "--source", "--target"])
 def test_trust_leave_one_out_refuses_query_flags(small_dataset, tmp_path, flag,
                                                  caplog, capsys):

@@ -24,6 +24,18 @@ def test_parse_ratings_out_of_range():
         parse_ratings(io.StringIO("1 100 9\n"))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1 100 0", "rating value 0 not an integer in [1,5]"),
+    ("-1 100 5", "user and item ids must be non-negative"),
+    ("1 -100 5", "user and item ids must be non-negative"),
+], ids=["rating-0", "negative-user", "negative-item"])
+def test_parse_ratings_invalid_record_names_line(bad, message):
+    with pytest.raises(ParseError) as info:
+        parse_ratings(io.StringIO(f"1 100 5\n{bad}\n"))
+    assert str(info.value) == f"line 2: {message}"
+    assert info.value.line_no == 2
+
+
 def test_parse_ratings_malformed():
     with pytest.raises(ParseError, match="line 2"):
         parse_ratings(io.StringIO("1 100 5\n1 100\n"))
@@ -37,6 +49,18 @@ def test_parse_trust_binary_and_signed():
 def test_parse_trust_out_of_range():
     with pytest.raises(ParseError):
         parse_trust(io.StringIO("7 9 2\n"))
+
+
+@pytest.mark.parametrize("bad, message", [
+    ("7 9 nan", "trust value nan outside [-1,1]"),
+    ("7 9 -1.5", "trust value -1.5 outside [-1,1]"),
+    ("-7 9 1", "user ids must be non-negative"),
+], ids=["nan", "below-minus-1", "negative-source"])
+def test_parse_trust_invalid_record_names_line(bad, message):
+    with pytest.raises(ParseError) as info:
+        parse_trust(io.StringIO(f"7 9 1\n{bad}\n"))
+    assert str(info.value) == f"line 2: {message}"
+    assert info.value.line_no == 2
 
 
 def test_parse_totality():

@@ -1,7 +1,8 @@
+import random
+
 import pytest
 
-from trustgrid.model import (Dataset, NoRatingsError, UnknownItemError,
-                             UnknownUserError)
+from trustgrid.model import Dataset, NoRatingsError, UnknownItemError
 
 
 def test_mean_rating():
@@ -35,14 +36,8 @@ def test_empty_item_has_no_raters():
 
 def test_direct_trust_directedness():
     ds = Dataset([], [(1, 2, 1.0)])
-    assert ds.direct_trust(1, 2) == 1.0
-    assert ds.direct_trust(2, 1) is None
-
-
-def test_direct_trust_unknown_user():
-    ds = Dataset([], [(1, 2, 1.0)])
-    with pytest.raises(UnknownUserError):
-        ds.direct_trust(1, 99)
+    assert ds.trust_adjacency.out == {1: [(2, 1.0)]}
+    assert ds.trust_adjacency.positive_in == {2: [(1, 1.0)]}
 
 
 def test_rating_value_range_rejected():
@@ -65,8 +60,37 @@ def test_duplicate_rating_last_wins():
 
 def test_self_trust_dropped_with_warning():
     ds = Dataset([], [(1, 1, 1.0), (1, 2, 0.5)])
-    assert ds.trust_neighbors(1) == {2: 0.5}
+    assert ds.trust_adjacency.out == {1: [(2, 0.5)]}
     assert ds.warnings.self_trust_edges == 1
+
+
+def test_trust_edges_last_wins_and_adjacency_sorted():
+    edges = [(0, 1, 0.5), (2, 0, 0.9), (0, 1, -0.25), (1, 2, 0.0),
+             (2, 2, 1.0), (3, 0, 0.7), (1, 0, -0.6), (2, 0, 0.3), (0, 3, 1.0),
+             (0, 1, 0.75), (3, 2, 1.0)]
+    random.Random(4).shuffle(edges)
+    ds = Dataset([], edges)
+    last = {}
+    for s, t, v in edges:
+        if s != t:
+            last[s, t] = v
+    expected = sorted((s, t, v) for (s, t), v in last.items())
+    assert ds.trust_edge_list() == expected
+    assert ds.n_trust_edges == len(expected) == 7
+    assert ds.warnings.duplicate_trust_edges == 3
+    assert ds.warnings.self_trust_edges == 1
+    out, positive_out, positive_in = {}, {}, {}
+    for s, t, v in expected:
+        out.setdefault(s, []).append((t, v))
+        if v > 0.0:
+            positive_out.setdefault(s, []).append((t, v))
+            positive_in.setdefault(t, []).append((s, v))
+    assert ds.trust_adjacency == (out, positive_out, positive_in)
+    # the 0.0 edge 1 -> 2 and the negative edge 1 -> 0 are in `out` only
+    assert ds.trust_adjacency.out[1] == [(0, -0.6), (2, 0.0)]
+    assert 1 not in ds.trust_adjacency.positive_out
+    assert 1 not in {s for pairs in ds.trust_adjacency.positive_in.values()
+                     for s, _ in pairs}
 
 
 def test_index_consistency():

@@ -101,8 +101,9 @@ def test_query_trust_no_self_entry():
 
 def test_query_trust_unknown_user():
     state = propagate(chain_dataset([1.0]))
-    with pytest.raises(UnknownUserError):
-        query_trust(state, 42, 0)
+    for x, y in ((42, 0), (0, 42)):
+        with pytest.raises(UnknownUserError, match="unknown user 42"):
+            query_trust(state, x, y)
 
 
 def test_chain_law():
