@@ -1,9 +1,11 @@
 """Reference recommenders: TidalTrust, MoleTrust, simple average, correlation CF.
 
 TidalTrust searches breadth-first for the nearest raters and weights them by a
-recursively averaged trust restricted to strongest shortest paths. MoleTrust
-levels the graph from the source (dropping non-forward edges) and pushes trust
-scores level by level. Both feed the usual mean-centered weighted prediction.
+recursively averaged trust restricted to strongest shortest paths; one walk
+back from each rater finds those paths and their threshold. MoleTrust levels
+the graph from the source (dropping non-forward edges) and, in one pass over
+the levels, pushes trust scores along the forward edges. Both feed the usual
+mean-centered weighted prediction.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ class TidalResult:
     depth: int  # -1 when no reachable rater
     raters_considered: set = field(default_factory=set)  # (user, trust, rating)
     queries_issued: int = 0
-
-
-@dataclass(slots=True)
-class MoleScores:
-    source: int
-    horizon: int
-    scores: dict[int, float] = field(default_factory=dict)
 
 
 def _bfs_distances(adj, start, max_depth=None, targets=frozenset()):
@@ -77,58 +72,48 @@ def _path_trust(source, sink, dist, dataset):
     """TidalTrust's recursive average from source to a reachable sink.
 
     `dist` holds the forward BFS distances from source, exact up to
-    dist[sink]. The nodes on minimum-depth paths are found by walking back
-    from the sink, stepping from a node at level d only to predecessors at
-    level d - 1, down to the source at level 0. Returns (trust or None,
-    expansions), expansions being the number of nodes whose in-list the walk
-    read.
+    dist[sink]. One walk back from the sink, stepping from a node at level
+    d + 1 only to predecessors at level d, finds the nodes on minimum-depth
+    paths and, for each, the strength of its strongest path to the sink
+    (path strength being the minimum edge weight); the source's strength is
+    the threshold. A forward pass would give the same threshold, as min and
+    max never round. Returns (trust or None, expansions), expansions being
+    the number of nodes whose in-list the walk read.
     """
     adj = dataset.trust_adjacency.positive_out
     pred = dataset.trust_adjacency.positive_in
     depth = dist[sink]
 
-    # nodes lying on some minimum-depth path, level by level
-    on_dag = {sink}
-    by_level: dict[int, list[int]] = {depth: [sink]}
+    # nodes on minimum-depth paths, level by level, with their path strength
+    strength = {sink: math.inf}
+    by_level: dict[int, list[int]] = {}
     frontier = [sink]
     expansions = 0
     for level in range(depth - 1, -1, -1):
         reached = []
         for v in frontier:
-            for p, _ in pred.get(v, ()):
-                if p not in on_dag and dist.get(p) == level:
-                    on_dag.add(p)
-                    reached.append(p)
+            for p, w in pred.get(v, ()):
+                if dist.get(p) == level:
+                    if p not in strength:
+                        reached.append(p)
+                    strength[p] = max(strength.get(p, -math.inf),
+                                      min(w, strength[v]))
         expansions += len(frontier)
         by_level[level] = frontier = reached
+    threshold = strength[source]
 
-    # strongest-path strength via DP in level order
-    strength = {source: math.inf}
-    for level in range(depth):
-        for u in sorted(by_level.get(level, ())):
-            if u not in strength:
-                continue
-            for v, w in adj.get(u, ()):
-                if v in on_dag and dist[v] == level + 1:
-                    s = min(strength[u], w)
-                    if s > strength.get(v, -math.inf):
-                        strength[v] = s
-    max_threshold = strength[sink]
-
-    # recursive weighted average, computed backwards level by level
+    # recursive weighted average, computed backwards level by level; a
+    # same-level neighbour may already be in `trust`, hence the level test
     trust: dict[int, float] = {}
     for level in range(depth - 1, -1, -1):
-        for u in sorted(by_level.get(level, ())):
+        for u in sorted(by_level[level]):
             num = 0.0
             den = 0.0
             for v, w in adj.get(u, ()):
-                if v == sink and level == depth - 1:
-                    value = w
-                    num += w * value
+                if v == sink:
+                    num += w * w
                     den += w
-                    continue
-                if (v in on_dag and dist[v] == level + 1
-                        and v in trust and w >= max_threshold):
+                elif v in trust and dist[v] == level + 1 and w >= threshold:
                     num += w * trust[v]
                     den += w
             if den > 0.0:
@@ -175,42 +160,40 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
     return TidalResult(predicted, found_depth, selected, queries)
 
 
-def mole_trust_scores(source: int, dataset: Dataset, horizon: int = 3) -> MoleScores:
+def mole_trust_scores(source: int, dataset: Dataset,
+                      horizon: int = 3) -> dict[int, float]:
     """Per-node trust scores within `horizon` BFS levels of the source.
 
     Levels are first-visit BFS distances; only forward edges (level i to i+1)
     survive the cycle-removal step. A node's score is the weighted average of
-    its positively-scored predecessors' edge statements.
+    its positively-scored predecessors' edge statements. One pass over the
+    BFS distances, which list each level after the one before it, scores a
+    node from its predecessors' statements and then passes its own score on
+    along its forward edges, unless it is <= 0 or the node is at the horizon.
+    Returns node -> score, without the source.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     adj = dataset.trust_adjacency.out
     dist, _ = _bfs_distances(adj, source, max_depth=horizon)
-    levels: dict[int, list[int]] = {}
-    for u, d in dist.items():
-        if 0 < d <= horizon:
-            levels.setdefault(d, []).append(u)
 
-    scores = {source: 1.0}
-    for level in range(1, horizon + 1):
-        incoming: dict[int, list[tuple[float, float]]] = {}
-        for p in ([source] if level == 1 else levels.get(level - 1, [])):
-            sp = scores.get(p)
-            if sp is None or sp <= 0.0:
-                continue
-            for w_node, edge in adj.get(p, ()):
-                if dist.get(w_node) == level:
-                    incoming.setdefault(w_node, []).append((sp, edge))
-        for w_node in sorted(levels.get(level, ())):
-            preds = incoming.get(w_node)
+    scores: dict[int, float] = {}
+    incoming: dict[int, list[tuple[float, float]]] = {}
+    for u, level in dist.items():
+        if level == 0:
+            score = 1.0
+        else:
+            preds = incoming.get(u)
             if not preds:
                 continue
             num = sum(sp * edge for sp, edge in preds)
             den = sum(sp for sp, _ in preds)
-            scores[w_node] = num / den
-
-    del scores[source]
-    return MoleScores(source, horizon, scores)
+            score = scores[u] = num / den
+        if score > 0.0 and level < horizon:
+            for v, edge in adj.get(u, ()):
+                if dist.get(v) == level + 1:
+                    incoming.setdefault(v, []).append((score, edge))
+    return scores
 
 
 def mole_trust_predict(a: int, item: int, weights: dict[int, float],

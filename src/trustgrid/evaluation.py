@@ -42,6 +42,7 @@ class HeldOutResult:
     predicted: float | None
     depth: int | None          # search/propagation depth, where the method has one
     rating_recall: float | None
+    # the deltas are None on a miss, where the delta curve never reads them
     delta_a: float | None      # |actual - item average without this user|
     delta_cf: float | None     # |actual - correlation-CF prediction|
 
@@ -186,8 +187,7 @@ def _predict_one(dataset, state, method, horizon, user, item, memo):
         if weights is None:
             scores = baselines.mole_trust_scores(user, dataset, horizon)
             memo.clear()
-            weights = memo[user] = {u: s for u, s in scores.scores.items()
-                                    if s > 0.0}
+            weights = memo[user] = {u: s for u, s in scores.items() if s > 0.0}
         return baselines.mole_trust_predict(
             user, item, weights, dataset, exclude_item=item), None, None
     if method == "avg":
@@ -202,6 +202,8 @@ def _evaluate_record(dataset, state, method, horizon, record, memo):
     user, item, actual = record
     predicted, depth, recall = _predict_one(dataset, state, method, horizon,
                                             user, item, memo)
+    if predicted is None:
+        return HeldOutResult(user, item, actual, None, depth, recall, None, None)
     # delta_a/delta_cf baselines; reuse the prediction when the method is one
     if method == "avg":
         avg = predicted
@@ -233,14 +235,19 @@ def _worker_task(record):
                             _worker_ctx["memo"])
 
 
-def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
-    """Deterministic uniform sample of (user, item, value) records."""
-    population = dataset.rating_list()
-    if fraction is None or fraction >= 1.0:
+def _sample(population, fraction: float | None, seed: int):
+    """Deterministic uniform sample of a sorted population, at least one
+    record; the population itself when fraction is None or >= 1, or when it
+    is empty."""
+    if fraction is None or fraction >= 1.0 or not population:
         return population
     k = max(1, round(fraction * len(population)))
-    rng = random.Random(seed)
-    return sorted(rng.sample(population, k))
+    return sorted(random.Random(seed).sample(population, k))
+
+
+def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
+    """Deterministic uniform sample of (user, item, value) records."""
+    return _sample(dataset.rating_list(), fraction, seed)
 
 
 def evaluate_ratings(dataset: Dataset, method: str,
@@ -340,10 +347,8 @@ def leave_one_out_trust(dataset: Dataset,
     None when undefined.
     """
     config = config or PropagationConfig()
-    all_edges = edges = dataset.trust_edge_list()
-    if sample is not None and sample < 1.0 and edges:
-        k = max(1, round(sample * len(edges)))
-        edges = sorted(random.Random(seed).sample(edges, k))
+    all_edges = dataset.trust_edge_list()
+    edges = _sample(all_edges, sample, seed)
     if not edges:
         return None, None
 

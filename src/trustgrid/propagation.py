@@ -40,7 +40,7 @@ class PropagationConfig:
             raise ValueError("store_threshold must be in [0,1]")
         if self.max_rounds < 0:
             raise ValueError("max_rounds must be >= 0")
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise ValueError("tolerance must be >= 0")
 
 

@@ -68,6 +68,19 @@ def test_tidal_recommend_queries_counted():
     assert tidal_trust_recommend(0, 7, ds).queries_issued > 0
 
 
+def test_tidal_recommend_queries_on_two_shortest_paths():
+    # 0 -> {1, 2, 5}, 1 -> 3, 2 -> {3, 4}; raters 3 and 4, both at depth 2.
+    # Forward search: level 1 expands 0, level 2 expands 1, 2 and 5 and
+    # reaches the raters (4). Walk back from 3: 3, then 1 and 2 (3). Walk
+    # back from 4: 4, then 2 (2). Total 4 + 3 + 2 = 9.
+    ds = Dataset([(3, 7, 4), (4, 7, 2)],
+                 [(0, 1, 1.0), (0, 2, 1.0), (0, 5, 1.0),
+                  (1, 3, 1.0), (2, 3, 1.0), (2, 4, 1.0)])
+    res = tidal_trust_recommend(0, 7, ds)
+    assert res.depth == 2 and res.predicted == approx(3.0)
+    assert res.queries_issued == 9
+
+
 def _binary_recommend_oracle(source, item, edges, ratings):
     """Plain BFS: average of the item's raters at the minimum depth."""
     adj = {}
@@ -227,25 +240,25 @@ def test_tidal_weighted_matches_path_enumeration_oracle():
 
 def test_mole_scores_direct():
     ds = Dataset([], [(0, 1, 0.8)])
-    assert mole_trust_scores(0, ds).scores == {1: approx(0.8)}
+    assert mole_trust_scores(0, ds) == {1: approx(0.8)}
 
 
 def test_mole_scores_two_predecessors():
     ds = Dataset([], [(0, 1, 1.0), (0, 2, 0.5), (1, 3, 1.0), (2, 3, 0.2)])
-    scores = mole_trust_scores(0, ds).scores
+    scores = mole_trust_scores(0, ds)
     assert scores[3] == approx(1.1 / 1.5)
 
 
 def test_mole_scores_back_edge_ignored():
     ds = Dataset([], [(0, 1, 1.0), (1, 0, 1.0), (1, 2, 0.5)])
-    scores = mole_trust_scores(0, ds).scores
+    scores = mole_trust_scores(0, ds)
     assert 0 not in scores
     assert scores == {1: approx(1.0), 2: approx(0.5)}
 
 
 def test_mole_scores_horizon_cutoff():
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    assert 3 not in mole_trust_scores(0, ds, horizon=2).scores
+    assert 3 not in mole_trust_scores(0, ds, horizon=2)
 
 
 def test_mole_scores_edge_order_invariant():
@@ -254,9 +267,64 @@ def test_mole_scores_edge_order_invariant():
              for s in range(8) for t in range(8) if s != t and rng.random() < 0.4]
     shuffled = edges[:]
     rng.shuffle(shuffled)
-    a = mole_trust_scores(0, Dataset([], edges)).scores
-    b = mole_trust_scores(0, Dataset([], shuffled)).scores
+    a = mole_trust_scores(0, Dataset([], edges))
+    b = mole_trust_scores(0, Dataset([], shuffled))
     assert a == b
+
+
+def _bfs_levels(source, adj):
+    """First-visit distances of a queue-driven BFS over `adj`."""
+    level = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in sorted(adj.get(u, {})):
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    return level
+
+
+def _mole_trust_reference(source, adj, horizon):
+    """MoleTrust from its definition: a node within the horizon scores the
+    average of the edge statements of its positively scored predecessors one
+    BFS level closer, weighted by their scores (the source scores 1)."""
+    level = _bfs_levels(source, adj)
+    score = {source: 1.0}
+    for u in sorted(level, key=level.get):
+        if not 0 < level[u] <= horizon:
+            continue
+        preds = [(sp, adj[p][u]) for p, sp in score.items()
+                 if sp > 0.0 and level[p] == level[u] - 1 and u in adj.get(p, {})]
+        if preds:
+            score[u] = sum(sp * e for sp, e in preds) / sum(sp for sp, _ in preds)
+    del score[source]
+    return score
+
+
+def test_mole_scores_match_definition_on_signed_graphs():
+    rng = random.Random(2007)
+    blocked = 0  # forward edges out of a node scored <= 0, within the horizon
+    for _ in range(150):
+        n = rng.randint(3, 12)
+        edges, _ = _weighted_graph(rng, n)
+        adj = {}
+        for (s, t), v in edges.items():
+            adj.setdefault(s, {})[t] = v
+        ds = Dataset([], [(s, t, v) for (s, t), v in sorted(edges.items())],
+                     users=range(n))
+        for horizon in (1, 2, 3, 4):
+            expected = _mole_trust_reference(0, adj, horizon)
+            got = mole_trust_scores(0, ds, horizon)
+            assert got.keys() == expected.keys()
+            for u, score in expected.items():
+                assert got[u] == approx(score)
+        level = _bfs_levels(0, adj)
+        scores = _mole_trust_reference(0, adj, 4)
+        blocked += sum(1 for (s, t) in edges
+                       if scores.get(s, 1.0) <= 0.0 and level.get(t) == level[s] + 1
+                       and level[t] <= 4)
+    assert blocked > 0
 
 
 def test_mole_predict_single_neighbor():
@@ -343,7 +411,7 @@ def test_predictions_stay_in_rating_range():
             if avg is not None:
                 assert 1.0 <= avg <= 5.0
             scores = mole_trust_scores(0, ds)
-            weights = {u: s for u, s in scores.scores.items() if s > 0}
+            weights = {u: s for u, s in scores.items() if s > 0}
             mole = mole_trust_predict(0, item, weights, ds)
             if mole is not None:
                 assert 1.0 <= mole <= 5.0

@@ -269,7 +269,8 @@ PROPAGATION_FLAG_MESSAGES = {
 @pytest.mark.parametrize("command, flag, value", [
     ("propagate", "--lambda", "0"), ("propagate", "--lambda", "1.5"),
     ("propagate", "--threshold", "1.5"), ("propagate", "--max-rounds", "-2"),
-    ("propagate", "--tol", "-1"), ("evaluate", "--lambda", "1.5"),
+    ("propagate", "--tol", "-1"), ("propagate", "--tol", "nan"),
+    ("evaluate", "--lambda", "1.5"),
 ])
 def test_propagation_flag_out_of_range_is_usage_error(small_dataset, command, flag,
                                                       value, caplog, capsys):
@@ -279,6 +280,15 @@ def test_propagation_flag_out_of_range_is_usage_error(small_dataset, command, fl
     assert main(argv) == 1
     assert f"usage error: {PROPAGATION_FLAG_MESSAGES[flag]}" in caplog.text
     assert capsys.readouterr().out == ""
+
+
+def test_evaluate_sample_without_ratings_attempts_nothing(tmp_path, capsys):
+    ratings, trust = tmp_path / "r.txt", tmp_path / "t.txt"
+    ratings.write_text("")
+    trust.write_text("0 1 1\n1 2 1\n")
+    assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", "avg", "--sample", "0.5"]) == 0
+    assert "attempted=0 predicted=0" in capsys.readouterr().out
 
 
 def test_propagate_max_rounds_zero_is_valid(small_dataset, capsys):

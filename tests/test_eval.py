@@ -186,7 +186,7 @@ def test_mole_scores_computed_once_per_user(monkeypatch):
     records = sample_ratings(ds, 0.3, seed=3)
     expected = []
     for user, item, _ in records:
-        scores = baselines.mole_trust_scores(user, ds).scores
+        scores = baselines.mole_trust_scores(user, ds)
         weights = {u: s for u, s in scores.items() if s > 0.0}
         expected.append(baselines.mole_trust_predict(user, item, weights, ds,
                                                      exclude_item=item))
@@ -203,3 +203,26 @@ def test_mole_scores_computed_once_per_user(monkeypatch):
     assert len(records) > len(users)
     assert sorted(scored) == sorted(users)
     assert [r.predicted for r in results] == expected
+
+
+def test_delta_baselines_run_for_hits_only(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100, rng_seed=2))
+    calls = []
+    original = baselines.correlation_cf_predict
+
+    def counting(a, item, dataset, exclude_item=None):
+        calls.append((a, item))
+        return original(a, item, dataset, exclude_item=exclude_item)
+
+    monkeypatch.setattr(baselines, "correlation_cf_predict", counting)
+    results = evaluate_ratings(ds, "proposed", PropagationConfig(), sample=0.3, seed=3)
+    hits = [(r.user, r.item) for r in results if r.predicted is not None]
+    assert 0 < len(hits) < len(results)
+    assert calls == hits
+    assert all(r.delta_a is None and r.delta_cf is None
+               for r in results if r.predicted is None)
+
+
+def test_sampling_empty_population():
+    assert sample_ratings(Dataset([], [(0, 1, 1.0)]), 0.5, seed=1) == []
+    assert leave_one_out_trust(Dataset([(0, 7, 4)]), sample=0.5) == (None, None)
