@@ -206,8 +206,8 @@ def mole_trust_predict(a: int, item: int, weights: dict[int, float],
     mean is undefined. Result clamped to the rating scale.
     """
     raters = dataset.item_raters(item)
-    contributors = [(u, w) for u, w in sorted(weights.items())
-                    if u != a and u in raters]
+    contributors = [(u, weights[u]) for u in sorted(raters)
+                    if u != a and u in weights]
     if not contributors:
         return None
     try:
@@ -241,13 +241,35 @@ def pearson_similarity(u: int, v: int, dataset: Dataset,
     return min(1.0, max(-1.0, r))
 
 
+def co_rating_counts(a: int, dataset: Dataset) -> dict[int, int]:
+    """u -> number of items both a and u rated, for every user u who shares
+    at least one rated item with a (a itself included, with a's profile size).
+    """
+    counts: dict[int, int] = {}
+    for i in dataset.user_ratings(a):
+        for u in dataset.item_raters(i):
+            counts[u] = counts.get(u, 0) + 1
+    return counts
+
+
 def correlation_cf_predict(a: int, item: int, dataset: Dataset,
-                           exclude_item: int | None = None) -> float | None:
+                           exclude_item: int | None = None,
+                           co_ratings: dict[int, int] | None = None) -> float | None:
     """Correlation-based CF: mean-centered prediction weighted by positive
-    Pearson similarity between a and the item's raters."""
+    Pearson similarity between a and the item's raters.
+
+    `co_ratings` is a's `co_rating_counts`, computed here when not given; a
+    caller predicting several items for one user passes them in. A rater
+    left with fewer than two co-rated items once `exclude_item` is dropped
+    has no Pearson similarity, so it is skipped without computing one.
+    """
+    if co_ratings is None:
+        co_ratings = co_rating_counts(a, dataset)
+    profile = dataset.user_ratings(a)
+    dropped = dataset.item_raters(exclude_item) if exclude_item in profile else {}
     weights = {}
     for u in dataset.item_raters(item):
-        if u == a:
+        if u == a or co_ratings.get(u, 0) - (u in dropped) < 2:
             continue
         sim = pearson_similarity(a, u, dataset, exclude_item=exclude_item)
         if sim is not None and sim > 0.0:

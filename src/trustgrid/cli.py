@@ -164,6 +164,14 @@ def _network_state(args, dataset, config):
     return state
 
 
+def _check_snapshot_method(args):
+    """Only the proposed method reads a network state, so a snapshot given
+    with another method would be silently ignored."""
+    if args.snapshot is not None and args.method != "proposed":
+        raise _UsageError(f"--snapshot applies only to --method proposed, "
+                          f"not {args.method}")
+
+
 def _cmd_ingest(args):
     dataset = _load(args)
     stats = ingest.dataset_stats(dataset)
@@ -227,6 +235,7 @@ def _cmd_propagate(args):
 
 def _cmd_recommend(args):
     config = _config_from_args(args)
+    _check_snapshot_method(args)
     dataset = _load(args)
     dataset._check_user(args.user)
     if args.item not in dataset.items:
@@ -278,13 +287,14 @@ def _cmd_trust(args):
 
 def _cmd_evaluate(args):
     config = _config_from_args(args)
+    _check_snapshot_method(args)
     dataset = _load(args)
     state = None
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
     results = evaluation.evaluate_ratings(
         dataset, args.method, config, sample=args.sample, seed=args.seed,
-        horizon=args.horizon, state=state, jobs=args.jobs)
+        horizon=args.horizon, state=state, jobs=args.jobs, view=args.view)
     report = evaluation.build_report(results, args.method, args.view, dataset)
 
     def fmt(x):

@@ -111,6 +111,14 @@ def view_predicates(dataset: Dataset):
     }
 
 
+def _view_predicate(dataset: Dataset, view: str):
+    """The (user, item) predicate of one view; ValueError for an unknown one."""
+    predicates = view_predicates(dataset)
+    if view not in predicates:
+        raise ValueError(f"unknown view {view!r}")
+    return predicates[view]
+
+
 # -- metric primitives ----------------------------------------------------
 
 def mae(errors) -> float:
@@ -162,12 +170,33 @@ def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
 
 # -- leave-one-out over ratings -------------------------------------------
 
+def _user_memo(memo, user) -> dict:
+    """The derived data of `user` kept in `memo`, which holds one user's only:
+    its MoleTrust weights ("mole") and its CF co-rating counts ("co").
+    Both depend only on the user (and the run's horizon), so consecutive
+    records of one user share them; a new user empties the memo.
+    """
+    data = memo.get(user)
+    if data is None:
+        memo.clear()
+        data = memo[user] = {}
+    return data
+
+
+def _cf_predict(dataset, user, item, memo):
+    """Correlation CF for one held-out rating, with the user's co-rating
+    counts kept in `memo`."""
+    data = _user_memo(memo, user)
+    if "co" not in data:
+        data["co"] = baselines.co_rating_counts(user, dataset)
+    return baselines.correlation_cf_predict(user, item, dataset, exclude_item=item,
+                                            co_ratings=data["co"])
+
+
 def _predict_one(dataset, state, method, horizon, user, item, memo):
     """(predicted, depth, rating_recall) for one held-out rating.
 
-    `memo` holds the MoleTrust weights of the last user scored: they depend
-    only on the user and the horizon, so consecutive records of one user
-    share one `mole_trust_scores` call.
+    `memo` is passed to `_user_memo`; an empty dict serves a single query.
     """
     if method == "proposed":
         rec = recommend(state, user, item, dataset)
@@ -183,18 +212,16 @@ def _predict_one(dataset, state, method, horizon, user, item, memo):
         recall = len(res.raters_considered) / others if others else None
         return res.predicted, res.depth, recall
     if method == "mole":
-        weights = memo.get(user)
-        if weights is None:
+        data = _user_memo(memo, user)
+        if "mole" not in data:
             scores = baselines.mole_trust_scores(user, dataset, horizon)
-            memo.clear()
-            weights = memo[user] = {u: s for u, s in scores.items() if s > 0.0}
+            data["mole"] = {u: s for u, s in scores.items() if s > 0.0}
         return baselines.mole_trust_predict(
-            user, item, weights, dataset, exclude_item=item), None, None
+            user, item, data["mole"], dataset, exclude_item=item), None, None
     if method == "avg":
         return baselines.simple_average(item, dataset, exclude=user), None, None
     if method == "cf":
-        return baselines.correlation_cf_predict(
-            user, item, dataset, exclude_item=item), None, None
+        return _cf_predict(dataset, user, item, memo), None, None
     raise UnknownMethodError(f"unknown method {method!r}")
 
 
@@ -212,7 +239,7 @@ def _evaluate_record(dataset, state, method, horizon, record, memo):
     if method == "cf":
         cf = predicted
     else:
-        cf = baselines.correlation_cf_predict(user, item, dataset, exclude_item=item)
+        cf = _cf_predict(dataset, user, item, memo)
     return HeldOutResult(
         user=user, item=item, actual=actual, predicted=predicted,
         depth=depth, rating_recall=recall,
@@ -254,20 +281,25 @@ def evaluate_ratings(dataset: Dataset, method: str,
                      config: PropagationConfig | None = None,
                      sample: float | None = None, seed: int = 0,
                      horizon: int = 3, state: NetworkState | None = None,
-                     jobs: int = 1) -> list[HeldOutResult]:
+                     jobs: int = 1, view: str = "all") -> list[HeldOutResult]:
     """Run leave-one-out prediction over (sampled) ratings for one method.
 
+    The sample is drawn from all ratings, then only the records in `view`
+    are predicted, so `build_report` for that view reads the same rows as if
+    every sampled record had been predicted.
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
-    For `mole`, the trust scores of a user are computed once per run of
-    consecutive records of that user; the records come sorted by user, and
-    each worker gets contiguous chunks of them.
+    A user's MoleTrust weights and CF co-rating counts are computed once per
+    run of consecutive records of that user (see `_user_memo`); the records
+    come sorted by user, and each worker gets contiguous chunks of them.
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
+    keep = _view_predicate(dataset, view)
     if method == "proposed" and state is None:
         state = propagate(dataset, config or PropagationConfig())
-    records = sample_ratings(dataset, sample, seed)
+    records = [(u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
+               if keep(u, i)]
     if jobs > 1:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
@@ -283,10 +315,7 @@ def evaluate_ratings(dataset: Dataset, method: str,
 def build_report(results, method: str, view: str, dataset: Dataset,
                  thresholds=DEFAULT_DELTA_THRESHOLDS) -> EvalReport:
     """Aggregate held-out results into the metric bundle for one view."""
-    predicates = view_predicates(dataset)
-    if view not in predicates:
-        raise ValueError(f"unknown view {view!r}")
-    keep = predicates[view]
+    keep = _view_predicate(dataset, view)
     rows = [r for r in results if keep(r.user, r.item)]
 
     hits = [r for r in rows if r.predicted is not None]
@@ -331,7 +360,7 @@ def leave_one_out_ratings(dataset: Dataset, method: str,
                           jobs: int = 1) -> EvalReport:
     """Leave-one-out evaluation of one method, reported for one view."""
     results = evaluate_ratings(dataset, method, config, sample, seed,
-                               horizon, state, jobs)
+                               horizon, state, jobs, view)
     return build_report(results, method, view, dataset)
 
 

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from pytest import approx
 
-from trustgrid.baselines import (mole_trust_predict, mole_trust_scores,
+from trustgrid import baselines
+from trustgrid.baselines import (co_rating_counts, correlation_cf_predict,
+                                 mole_trust_predict, mole_trust_scores,
                                  pearson_similarity, simple_average,
                                  tidal_trust_infer, tidal_trust_recommend)
 from trustgrid.model import Dataset
@@ -377,6 +379,73 @@ def test_pearson_symmetric():
         ds = Dataset(ratings)
         if 0 in ds.users and 1 in ds.users:
             assert pearson_similarity(0, 1, ds) == pearson_similarity(1, 0, ds)
+
+
+def _cf_reference(a, item, ds, exclude_item):
+    """Correlation CF by its definition: a Pearson similarity for every rater."""
+    weights = {}
+    for u in ds.item_raters(item):
+        if u != a:
+            sim = pearson_similarity(a, u, ds, exclude_item=exclude_item)
+            if sim is not None and sim > 0.0:
+                weights[u] = sim
+    if not weights:
+        return None
+    return mole_trust_predict(a, item, weights, ds, exclude_item=exclude_item)
+
+
+def _cf_cases(seed):
+    """(dataset, user, item, exclude_item) on random rating sets, with
+    exclude_item None, the item, another item the user rated, and an item the
+    user did not rate."""
+    rng = random.Random(seed)
+    for _ in range(25):
+        n_users, n_items = rng.randint(3, 10), rng.randint(3, 8)
+        density = rng.uniform(0.3, 0.9)
+        ratings = [(u, i, rng.randint(1, 5)) for u in range(n_users)
+                   for i in range(n_items) if rng.random() < density]
+        ds = Dataset(ratings)
+        for a in sorted(ds.users):
+            rated = sorted(ds.user_ratings(a))
+            unrated = sorted(ds.items - set(rated))
+            for item in sorted(ds.items):
+                others = [i for i in rated if i != item]
+                for exclude in (None, item, rng.choice(others) if others else None,
+                                rng.choice(unrated) if unrated else None):
+                    yield ds, a, item, exclude
+
+
+def test_cf_matches_definition_with_and_without_counts():
+    predicted = 0
+    for ds, a, item, exclude in _cf_cases(seed=31):
+        want = _cf_reference(a, item, ds, exclude)
+        assert correlation_cf_predict(a, item, ds, exclude_item=exclude) == want
+        counts = co_rating_counts(a, ds)
+        assert correlation_cf_predict(a, item, ds, exclude_item=exclude,
+                                      co_ratings=counts) == want
+        predicted += want is not None
+    assert predicted > 100
+
+
+def test_co_rating_counts():
+    ds = Dataset([(0, 1, 3), (0, 2, 4), (1, 1, 5), (1, 2, 2), (2, 2, 1), (2, 3, 1)])
+    assert co_rating_counts(0, ds) == {0: 2, 1: 2, 2: 1}
+    assert co_rating_counts(2, ds) == {0: 1, 1: 1, 2: 2}
+
+
+def test_cf_computes_similarity_only_with_two_co_ratings(monkeypatch):
+    pairs = []
+    original = baselines.pearson_similarity
+
+    def counting(u, v, dataset, exclude_item=None):
+        pu, pv = dataset.user_ratings(u), dataset.user_ratings(v)
+        pairs.append(sum(1 for i in pu if i in pv and i != exclude_item))
+        return original(u, v, dataset, exclude_item=exclude_item)
+
+    monkeypatch.setattr(baselines, "pearson_similarity", counting)
+    for ds, a, item, exclude in _cf_cases(seed=32):
+        correlation_cf_predict(a, item, ds, exclude_item=exclude)
+    assert pairs and min(pairs) >= 2
 
 
 def test_simple_average():

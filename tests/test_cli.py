@@ -327,6 +327,21 @@ def test_trust_leave_one_out_refuses_query_flags(small_dataset, tmp_path, flag,
     assert not snap.exists()
 
 
+@pytest.mark.parametrize("method", ["tidal", "mole", "cf", "avg"])
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_snapshot_with_baseline_method_is_usage_error(small_dataset, tmp_path,
+                                                      command, method, caplog,
+                                                      capsys):
+    ratings, trust = small_dataset
+    snap = tmp_path / "x.snap"
+    query = ["--user", "0", "--item", "7"] if command == "recommend" else []
+    assert main([command, "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, *query, "--snapshot", str(snap)]) == 1
+    assert "--snapshot applies only to --method proposed" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not snap.exists()
+
+
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
 # converges in 50 rounds); an ulp of drift in the propagation kernel shows here
 GOLDEN_SNAPSHOTS = [

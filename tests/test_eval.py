@@ -1,16 +1,16 @@
 import pytest
 from pytest import approx
 
-from trustgrid import baselines
-from trustgrid.evaluation import (EmptyInputError, HeldOutResult,
-                                  UnknownMethodError, build_report,
+from trustgrid import baselines, evaluation
+from trustgrid.evaluation import (METHODS, VIEW_NAMES, EmptyInputError,
+                                  HeldOutResult, UnknownMethodError, build_report,
                                   coverage_metrics, delta_curve,
                                   evaluate_ratings, leave_one_out_ratings,
                                   leave_one_out_trust, mae, maue,
                                   sample_ratings, view_predicates)
 from trustgrid.ingest import SyntheticSpec, generate_synthetic
 from trustgrid.model import Dataset
-from trustgrid.propagation import PropagationConfig
+from trustgrid.propagation import PropagationConfig, propagate
 
 
 def result(user, predicted, actual=3, depth=None, item=0):
@@ -210,9 +210,10 @@ def test_delta_baselines_run_for_hits_only(monkeypatch):
     calls = []
     original = baselines.correlation_cf_predict
 
-    def counting(a, item, dataset, exclude_item=None):
+    def counting(a, item, dataset, exclude_item=None, co_ratings=None):
         calls.append((a, item))
-        return original(a, item, dataset, exclude_item=exclude_item)
+        return original(a, item, dataset, exclude_item=exclude_item,
+                        co_ratings=co_ratings)
 
     monkeypatch.setattr(baselines, "correlation_cf_predict", counting)
     results = evaluate_ratings(ds, "proposed", PropagationConfig(), sample=0.3, seed=3)
@@ -226,3 +227,53 @@ def test_delta_baselines_run_for_hits_only(monkeypatch):
 def test_sampling_empty_population():
     assert sample_ratings(Dataset([], [(0, 1, 1.0)]), 0.5, seed=1) == []
     assert leave_one_out_trust(Dataset([(0, 7, 4)]), sample=0.5) == (None, None)
+
+
+# small graphs with every view but one non-empty (binary: no controversial item)
+@pytest.fixture(scope="module", params=[("binary", 2), ("uniform_signed", 4)],
+                ids=["binary", "uniform_signed"])
+def view_graph(request):
+    mode, seed = request.param
+    ds = generate_synthetic(SyntheticSpec(n_users=50, n_items=50,
+                                          avg_ratings_per_user=7.0,
+                                          trust_value_mode=mode, rng_seed=seed))
+    return ds, propagate(ds, PropagationConfig())
+
+
+@pytest.mark.parametrize("sample, jobs", [(None, 1), (0.4, 2)])
+@pytest.mark.parametrize("method", METHODS)
+def test_view_filter_keeps_records_and_reports(view_graph, method, sample, jobs):
+    ds, state = view_graph
+    predicates = view_predicates(ds)
+    everything = evaluate_ratings(ds, method, sample=sample, seed=4, state=state,
+                                  jobs=jobs)
+    for view in VIEW_NAMES:
+        results = evaluate_ratings(ds, method, sample=sample, seed=4, state=state,
+                                   jobs=jobs, view=view)
+        keep = predicates[view]
+        assert results == [r for r in everything if keep(r.user, r.item)]
+        assert (build_report(results, method, view, ds).to_dict()
+                == build_report(everything, method, view, ds).to_dict())
+
+
+def test_view_filter_predicts_only_records_in_view(view_graph, monkeypatch):
+    ds, state = view_graph
+    predicates = view_predicates(ds)
+    calls = []
+    original = evaluation.recommend
+
+    def counting(state, user, item, dataset):
+        calls.append((user, item))
+        return original(state, user, item, dataset)
+
+    monkeypatch.setattr(evaluation, "recommend", counting)
+    for view in VIEW_NAMES:
+        calls.clear()
+        evaluate_ratings(ds, "proposed", sample=0.5, seed=2, state=state, view=view)
+        assert calls == [(u, i) for u, i, _ in sample_ratings(ds, 0.5, seed=2)
+                         if predicates[view](u, i)]
+
+
+def test_evaluate_unknown_view_raises():
+    with pytest.raises(ValueError, match="unknown view"):
+        evaluate_ratings(Dataset([(0, 7, 4)]), "avg", view="nosuch")
