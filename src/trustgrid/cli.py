@@ -41,13 +41,24 @@ def _add_input_flags(p, ratings_required=False, trust_required=False):
                    required=trust_required)
 
 
+# each propagation flag's argparse dest and PropagationConfig field
+_PROPAGATION_FLAGS = {
+    "--lambda": ("damping", "damping"),
+    "--threshold": ("threshold", "store_threshold"),
+    "--max-rounds": ("max_rounds", "max_rounds"),
+    "--tol": ("tol", "tolerance"),
+}
+
+
 def _add_propagation_flags(p):
-    p.add_argument("--lambda", dest="damping", type=float, default=0.8,
+    # no argparse default, so a flag not given reads None; _config_from_args
+    # fills in PropagationConfig's default
+    p.add_argument("--lambda", dest="damping", type=float,
                    help="per-hop damping factor (default 0.8)")
-    p.add_argument("--threshold", type=float, default=0.7,
+    p.add_argument("--threshold", type=float,
                    help="storage threshold on positive inferred trust (default 0.7)")
-    p.add_argument("--max-rounds", type=int, default=50)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--max-rounds", type=int, help="(default 50)")
+    p.add_argument("--tol", type=float, help="(default 1e-06)")
     p.add_argument("--snapshot", help="snapshot file to write (propagate) or reuse")
 
 
@@ -126,12 +137,18 @@ def build_parser() -> _Parser:
 
 
 def _config_from_args(args) -> PropagationConfig:
-    """The run's PropagationConfig; a value it refuses is a usage error."""
+    """The run's PropagationConfig, with the default of each propagation flag
+    not given; a value it refuses is a usage error. The values are written
+    back to `args`, so the echoed config shows what the run used."""
+    given = {field: getattr(args, dest) for dest, field in _PROPAGATION_FLAGS.values()
+             if getattr(args, dest) is not None}
     try:
-        return PropagationConfig(damping=args.damping, store_threshold=args.threshold,
-                                 max_rounds=args.max_rounds, tolerance=args.tol)
+        config = PropagationConfig(**given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    for dest, field in _PROPAGATION_FLAGS.values():
+        setattr(args, dest, getattr(config, field))
+    return config
 
 
 def _echo_config(args) -> dict:
@@ -164,12 +181,17 @@ def _network_state(args, dataset, config):
     return state
 
 
-def _check_snapshot_method(args):
-    """Only the proposed method reads a network state, so a snapshot given
-    with another method would be silently ignored."""
-    if args.snapshot is not None and args.method != "proposed":
-        raise _UsageError(f"--snapshot applies only to --method proposed, "
-                          f"not {args.method}")
+def _check_method_flags(args):
+    """Only the proposed method propagates, so a propagation flag or a
+    snapshot given with another method would be silently ignored. Call it
+    before _config_from_args, which fills in the flags not given."""
+    if args.method == "proposed":
+        return
+    dests = {flag: dest for flag, (dest, _) in _PROPAGATION_FLAGS.items()}
+    for flag, dest in {**dests, "--snapshot": "snapshot"}.items():
+        if getattr(args, dest) is not None:
+            raise _UsageError(f"{flag} applies only to --method proposed, "
+                              f"not {args.method}")
 
 
 def _cmd_ingest(args):
@@ -234,8 +256,8 @@ def _cmd_propagate(args):
 
 
 def _cmd_recommend(args):
+    _check_method_flags(args)
     config = _config_from_args(args)
-    _check_snapshot_method(args)
     dataset = _load(args)
     dataset._check_user(args.user)
     if args.item not in dataset.items:
@@ -286,16 +308,19 @@ def _cmd_trust(args):
 
 
 def _cmd_evaluate(args):
+    _check_method_flags(args)
     config = _config_from_args(args)
-    _check_snapshot_method(args)
     dataset = _load(args)
     state = None
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
+    predicates = evaluation.view_predicates(dataset)
     results = evaluation.evaluate_ratings(
         dataset, args.method, config, sample=args.sample, seed=args.seed,
-        horizon=args.horizon, state=state, jobs=args.jobs, view=args.view)
-    report = evaluation.build_report(results, args.method, args.view, dataset)
+        horizon=args.horizon, state=state, jobs=args.jobs, view=args.view,
+        predicates=predicates)
+    report = evaluation.build_report(results, args.method, args.view, dataset,
+                                     predicates=predicates)
 
     def fmt(x):
         return "na" if x is None else f"{x:.4f}"

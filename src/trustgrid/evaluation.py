@@ -111,9 +111,11 @@ def view_predicates(dataset: Dataset):
     }
 
 
-def _view_predicate(dataset: Dataset, view: str):
-    """The (user, item) predicate of one view; ValueError for an unknown one."""
-    predicates = view_predicates(dataset)
+def _view_predicate(dataset: Dataset, view: str, predicates=None):
+    """The (user, item) predicate of one view; ValueError for an unknown one.
+    `predicates` is `view_predicates(dataset)` when the caller has built it."""
+    if predicates is None:
+        predicates = view_predicates(dataset)
     if view not in predicates:
         raise ValueError(f"unknown view {view!r}")
     return predicates[view]
@@ -281,12 +283,14 @@ def evaluate_ratings(dataset: Dataset, method: str,
                      config: PropagationConfig | None = None,
                      sample: float | None = None, seed: int = 0,
                      horizon: int = 3, state: NetworkState | None = None,
-                     jobs: int = 1, view: str = "all") -> list[HeldOutResult]:
+                     jobs: int = 1, view: str = "all",
+                     predicates=None) -> list[HeldOutResult]:
     """Run leave-one-out prediction over (sampled) ratings for one method.
 
     The sample is drawn from all ratings, then only the records in `view`
     are predicted, so `build_report` for that view reads the same rows as if
-    every sampled record had been predicted.
+    every sampled record had been predicted. `predicates` is
+    `view_predicates(dataset)` when the caller has built it.
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
     A user's MoleTrust weights and CF co-rating counts are computed once per
@@ -295,7 +299,7 @@ def evaluate_ratings(dataset: Dataset, method: str,
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
-    keep = _view_predicate(dataset, view)
+    keep = _view_predicate(dataset, view, predicates)
     if method == "proposed" and state is None:
         state = propagate(dataset, config or PropagationConfig())
     records = [(u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
@@ -313,9 +317,11 @@ def evaluate_ratings(dataset: Dataset, method: str,
 
 
 def build_report(results, method: str, view: str, dataset: Dataset,
-                 thresholds=DEFAULT_DELTA_THRESHOLDS) -> EvalReport:
-    """Aggregate held-out results into the metric bundle for one view."""
-    keep = _view_predicate(dataset, view)
+                 thresholds=DEFAULT_DELTA_THRESHOLDS,
+                 predicates=None) -> EvalReport:
+    """Aggregate held-out results into the metric bundle for one view.
+    `predicates` is `view_predicates(dataset)` when the caller has built it."""
+    keep = _view_predicate(dataset, view, predicates)
     rows = [r for r in results if keep(r.user, r.item)]
 
     hits = [r for r in rows if r.predicted is not None]
@@ -359,9 +365,10 @@ def leave_one_out_ratings(dataset: Dataset, method: str,
                           state: NetworkState | None = None,
                           jobs: int = 1) -> EvalReport:
     """Leave-one-out evaluation of one method, reported for one view."""
+    predicates = view_predicates(dataset)
     results = evaluate_ratings(dataset, method, config, sample, seed,
-                               horizon, state, jobs, view)
-    return build_report(results, method, view, dataset)
+                               horizon, state, jobs, view, predicates)
+    return build_report(results, method, view, dataset, predicates=predicates)
 
 
 # -- leave-one-out over trust edges ---------------------------------------

@@ -8,6 +8,15 @@ target those tables mention. Every node rebuilds its whole table in every
 round, and `propagate` is nothing but repeated rounds until the largest value
 change drops below a tolerance.
 
+A round sums only the targets it could store. When no entry is negative and
+M is the largest value held at hops >= 2, a target that none of x's positive
+neighbours holds at hops 1 is averaged from values in [0, M] alone, so its
+average lies in [0, damping * M]; when that bound, widened by the rounding
+error run_round derives, is below the storage threshold, the rule discards
+such a target and it is never summed. With the defaults every inferred value
+is at most 0.8, and 0.8 * 0.8 = 0.64 < 0.7. The stored tables are the same,
+bit for bit, as when every target is averaged.
+
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
 entries (hops 1) are a copy of that input, kept for snapshots and
@@ -66,27 +75,32 @@ def init_network(dataset: Dataset) -> NetworkState:
                          for user in sorted(dataset.users)})
 
 
-def _node_average(neighbours, tables, damping):
-    """Damped weighted average of what x's neighbours' tables say about each
-    target they hold.
+def _node_sums(neighbours, tables, damping, targets=None):
+    """Per-target `[num, den, hops]` accumulators of x's damped weighted
+    average over its neighbours' tables: num sums `w * damping * trust`, den
+    sums `w`, hops is the fewest hops among the entries that contributed.
 
     `neighbours` lists x's positive direct (i, trust(x, i)) edges in ascending
     i, so every target sums its contributions in ascending i, which fixes its
-    float result. Returns {y: (value, hops)}, hops being one more than the
-    fewest among the entries that contributed to y.
+    float result. `targets` limits the sums to those targets; None means every
+    target the tables hold.
     """
     sums = {}
     for i, w in neighbours:
         scale = w * damping
         for y, (trust, hops) in tables[i].items():
+            if targets is not None and y not in targets:
+                continue
             acc = sums.get(y)
             if acc is None:
-                acc = sums[y] = [0.0, 0.0, hops]
-            acc[0] += scale * trust
-            acc[1] += w
-            if hops < acc[2]:
-                acc[2] = hops
-    return {y: (num / den, 1 + hops) for y, (num, den, hops) in sums.items()}
+                # 0.0 + keeps a -0.0 product +0.0, as summing from 0.0 does
+                sums[y] = [0.0 + scale * trust, w, hops]
+            else:
+                acc[0] += scale * trust
+                acc[1] += w
+                if hops < acc[2]:
+                    acc[2] = hops
+    return sums
 
 
 def infer_trust(x: int, y: int,
@@ -100,8 +114,38 @@ def infer_trust(x: int, y: int,
     """
     neighbours = [(i, trust) for i, (trust, hops) in tables[x].items()
                   if hops == 1 and trust > 0.0]
-    result = _node_average(neighbours, tables, damping).get(y)
-    return None if result is None else result[0]
+    acc = _node_sums(neighbours, tables, damping, {y}).get(y)
+    return None if acc is None else acc[0] / acc[1]
+
+
+def _direct_targets_if_bounded(tables, adjacency, config):
+    """{owner: targets it holds at hops 1} when the round's bound (see
+    run_round) proves unstorable every target that no positive neighbour
+    holds at hops 1, else None.
+
+    One scan of the tables finds the hops-1 targets and M, the largest value
+    held at hops >= 2; it gives up at the first entry that is not >= 0.
+    """
+    direct = {}
+    top = 0.0
+    for owner, table in tables.items():
+        held = direct[owner] = []
+        for y, (trust, hops) in table.items():
+            if not trust >= 0.0:
+                return None  # negative (or NaN): the average has no lower bound
+            if hops == 1:
+                held.append(y)
+            elif trust > top:
+                top = trust
+    weights = [w for edges in adjacency.positive_out.values() for _, w in edges]
+    if not weights:
+        return None  # no node has a neighbour, so there is nothing to sum
+    k = max(len(edges) for edges in adjacency.positive_out.values())
+    # twice run_round's 4(k+1)u and (k+1)(1+M)*2^-1073/w_min, so the four
+    # roundings of this check cannot undercut them
+    bound = (config.damping * top * (1.0 + 8 * (k + 1) * 2.0 ** -53)
+             + (k + 1) * (1.0 + top) / min(weights) * 2.0 ** -1072)
+    return direct if bound < config.store_threshold else None
 
 
 def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
@@ -114,21 +158,54 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     entries_added). max_change is the largest absolute difference between an
     inferred entry's old and new value, where appearing/disappearing entries
     count as change from/to 0.
+
+    Only the targets that can be stored are summed. Suppose no entry of the
+    round-k tables is negative, and let M be the largest value held at hops
+    >= 2 and d the damping. Every contribution to a target y that none of
+    x's positive neighbours holds at hops 1 is w * d * v with 0 <= v <= M,
+    so y's exact average lies in [0, d*M]. Computed in floats, with
+    u = 2^-53, k the graph's largest positive out-degree and w_min its
+    smallest positive weight: each product w*d*v rounds up by a factor of at
+    most (1+u)^2 plus, below the normal range, (1+M)*2^-1074; num's at most
+    k-1 additions of non-negative terms add a factor (1+u)^(k-1) and no
+    underflow error; den, a sum of at most k weights, is at least
+    (1-u)^(k-1) times its exact value, which is at least w_min; the division
+    adds a factor (1+u) and 2^-1075. As (1+u)^(k+2)/(1-u)^(k-1) <= 1 +
+    4(k+1)u, the computed value is at most
+    d*M*(1 + 4(k+1)u) + (k+1)(1+M)*2^-1073/w_min,
+    and it is +0.0, -0.0 or positive. When that bound is below the threshold
+    the storage rule (`0.0 <= value < threshold`) discards y whatever its
+    sum, so each node sums only the union of its positive neighbours' hops-1
+    targets, less itself and its own direct targets; otherwise (a negative
+    entry, threshold 0, or d*M too close to the threshold) it sums every
+    target. With the defaults every inferred value is at most 0.8, so
+    d*M <= 0.64 < 0.7.
+    Either way every stored value and hops is the same, bit for bit.
     """
     tables = state.tables
     adjacency = dataset.trust_adjacency
+    direct = _direct_targets_if_bounded(tables, adjacency, config)
+    threshold = config.store_threshold
     new_tables = {}
     max_change = 0.0
     entries_added = 0
 
     for x, old in tables.items():
         entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
-        averages = _node_average(adjacency.positive_out.get(x, ()), tables,
-                                 config.damping)
-        for y, (value, hops) in averages.items():
-            if y == x or y in entries or 0.0 <= value < config.store_threshold:
-                continue  # self, a direct target, or too weak to store
-            entries[y] = (value, hops)
+        neighbours = adjacency.positive_out.get(x, ())
+        targets = None
+        if direct is not None:
+            targets = set().union(*(direct[i] for i, _ in neighbours))
+            targets.discard(x)
+            targets.difference_update(entries)
+        sums = _node_sums(neighbours, tables, config.damping, targets)
+        for y, (num, den, hops) in sums.items():
+            if y == x or y in entries:
+                continue  # self or a direct target
+            value = num / den
+            if 0.0 <= value < threshold:
+                continue  # too weak to store
+            entries[y] = (value, 1 + hops)
             prev = old.get(y)
             if prev is None:
                 entries_added += 1

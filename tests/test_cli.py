@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from trustgrid import evaluation
 from trustgrid.cli import build_parser, main
 from trustgrid.ingest import load_dataset, save_snapshot
 from trustgrid.propagation import PropagationConfig, propagate
@@ -340,6 +341,57 @@ def test_snapshot_with_baseline_method_is_usage_error(small_dataset, tmp_path,
     assert "--snapshot applies only to --method proposed" in caplog.text
     assert capsys.readouterr().out == ""
     assert not snap.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lambda", "0.5"), ("--threshold", "0.1"), ("--max-rounds", "3"),
+    ("--tol", "0.01"),
+])
+@pytest.mark.parametrize("method", ["tidal", "mole", "cf", "avg"])
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_propagation_flag_with_baseline_method_is_usage_error(
+        small_dataset, command, method, flag, value, caplog, capsys):
+    ratings, trust = small_dataset
+    query = ["--user", "0", "--item", "7"] if command == "recommend" else []
+    assert main([command, "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, *query, flag, value]) == 1
+    assert f"{flag} applies only to --method proposed, not {method}" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("method, flags, echoed", [
+    ("proposed", [], (0.8, 0.7, 50, 1e-06)),
+    ("avg", [], (0.8, 0.7, 50, 1e-06)),
+    ("proposed", ["--lambda", "0.5", "--threshold", "0.1", "--max-rounds", "3",
+                  "--tol", "0.01"], (0.5, 0.1, 3, 0.01)),
+])
+def test_evaluate_out_echoes_propagation_settings(small_dataset, tmp_path, method,
+                                                  flags, echoed, capsys):
+    ratings, trust = small_dataset
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, "--out", str(out), *flags]) == 0
+    config = json.loads(out.read_text())["config"]
+    got = tuple(config[k] for k in ("damping", "threshold", "max_rounds", "tol"))
+    assert got == echoed
+    assert [type(v) for v in got] == [float, float, int, float]
+
+
+@pytest.mark.parametrize("method", ["proposed", "tidal", "avg"])
+def test_evaluate_builds_view_predicates_once(small_dataset, monkeypatch, method,
+                                              capsys):
+    ratings, trust = small_dataset
+    calls = []
+    build = evaluation.view_predicates
+
+    def counting(dataset):
+        calls.append(dataset)
+        return build(dataset)
+
+    monkeypatch.setattr(evaluation, "view_predicates", counting)
+    assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, "--view", "cold_start"]) == 0
+    assert len(calls) == 1
 
 
 # sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither

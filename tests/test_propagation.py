@@ -1,12 +1,16 @@
 import copy
+import math
 import random
+import struct
 
 import pytest
 from pytest import approx
 
-from oracle import dense_fixed_point, random_graph
+from oracle import (dense_fixed_point, node_averages, random_graph,
+                    reference_round)
+from trustgrid import propagation
 from trustgrid.model import Dataset, UnknownUserError
-from trustgrid.propagation import (DIRECT, INFERRED, PropagationConfig,
+from trustgrid.propagation import (DIRECT, INFERRED, NetworkState, PropagationConfig,
                                    infer_trust, init_network, propagate,
                                    query_trust, run_round)
 
@@ -259,3 +263,150 @@ def test_oracle_equivalence_small_graphs():
         assert set(got) == set(expected)
         for key in got:
             assert got[key] == approx(expected[key], abs=1e-9)
+
+
+def bits(tables):
+    """Tables with every value as its IEEE bytes, so -0.0 != 0.0."""
+    return {x: {y: (struct.pack("<d", v), h) for y, (v, h) in t.items()}
+            for x, t in tables.items()}
+
+
+def valued_graph(rng, kind, n):
+    """Random directed graph of one value kind, as a Dataset."""
+    choose = {
+        "binary": lambda: 1.0,
+        "positive": lambda: rng.uniform(0.05, 1.0),
+        "signed": lambda: rng.choice((-1, 1)) * rng.uniform(0.05, 1.0),
+        "quarters": lambda: rng.choice((-0.0, 0.0, 0.25, 0.5, 0.75, 1.0)),
+    }[kind]
+    p = rng.uniform(0.15, 0.45)
+    return edges_dataset({(s, t): choose() for s in range(n) for t in range(n)
+                          if s != t and rng.random() < p})
+
+
+def assert_rounds_match_reference(state, ds, config, rounds):
+    for _ in range(rounds):
+        expected, change, added = reference_round(
+            state.tables, ds, config.damping, config.store_threshold)
+        state, got_change, got_added = run_round(state, ds, config)
+        assert bits(state.tables) == bits(expected)
+        assert struct.pack("<d", got_change) == struct.pack("<d", change)
+        assert got_added == added
+
+
+@pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters"])
+def test_run_round_matches_reference_round(kind):
+    # run_round sums only the targets it can store; the reference averages
+    # every target and then filters, so they must agree bit for bit,
+    # including thresholds at, just above and just below damping^2, the
+    # bound on binary graphs
+    rng = random.Random(kind)
+    for _ in range(12):
+        ds = valued_graph(rng, kind, rng.randint(3, 14))
+        damping = rng.choice((0.8, 1.0, 0.5, rng.uniform(0.3, 1.0)))
+        d2 = damping * damping
+        for threshold in (d2, math.nextafter(d2, 1.0), math.nextafter(d2, 0.0),
+                          min(1.0, d2 * (1 + 1e-12)), 0.7, 0.0):
+            config = PropagationConfig(damping=damping, store_threshold=threshold)
+            assert_rounds_match_reference(init_network(ds), ds, config, 10)
+
+
+def hand_state(tables):
+    return NetworkState({x: dict(t) for x, t in tables.items()})
+
+
+@pytest.mark.parametrize("tables", [
+    # an inferred entry above damping: 0.8 * 0.95 = 0.76 must be stored
+    {0: {1: (1.0, 1)}, 1: {2: (1.0, 1), 3: (0.95, 2)}, 2: {}, 3: {}},
+    # a hops-1 entry the dataset lacks still reports on its target
+    {0: {1: (1.0, 1)}, 1: {2: (1.0, 1), 3: (1.0, 1)}, 2: {}, 3: {}},
+])
+def test_run_round_matches_reference_on_hand_made_states(tables):
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)], users=[3])
+    config = PropagationConfig()
+    assert_rounds_match_reference(hand_state(tables), ds, config, 1)
+    state, _, _ = run_round(hand_state(tables), ds, config)
+    assert 3 in state.tables[0]
+
+
+def test_run_round_bound_covers_subnormal_weights():
+    # a weight of 5e-324 rounds w * 0.8 * 0.85 up to w, so the computed
+    # average is 1.0 although the exact one is 0.68 < 0.7: only the bound's
+    # underflow term keeps this target summed
+    ds = Dataset([], [(0, 1, 5e-324), (1, 2, 1.0)], users=[3])
+    tables = {0: {1: (5e-324, 1)}, 1: {2: (1.0, 1), 3: (0.85, 2)}, 2: {}, 3: {}}
+    assert_rounds_match_reference(hand_state(tables), ds, PropagationConfig(), 1)
+    state, _, _ = run_round(hand_state(tables), ds, PropagationConfig())
+    assert state.tables[0][3] == (1.0, 3)
+
+
+def test_run_round_bound_covers_rounding():
+    # two contributions of 0.8 * M each average to one ulp above the
+    # product 0.8 * M; at that threshold only the bound's rounding margin
+    # keeps the target summed
+    w1, w2, top = 0.7559893274013729, 0.9007966249094171, 0.5687853183810455
+    ds = Dataset([], [(0, 1, w1), (0, 2, w2)], users=[3])
+    tables = {0: {1: (w1, 1), 2: (w2, 1)}, 1: {3: (top, 2)}, 2: {3: (top, 2)},
+              3: {}}
+    value = (0.0 + w1 * 0.8 * top + w2 * 0.8 * top) / (w1 + w2)
+    assert value > 0.8 * top
+    config = PropagationConfig(store_threshold=value)
+    assert_rounds_match_reference(hand_state(tables), ds, config, 1)
+    state, _, _ = run_round(hand_state(tables), ds, config)
+    assert state.tables[0][3] == (value, 3)
+
+
+def record_targets(monkeypatch):
+    seen = []
+    kernel = propagation._node_sums
+
+    def recording(neighbours, tables, damping, targets=None):
+        seen.append(targets)
+        return kernel(neighbours, tables, damping, targets)
+
+    monkeypatch.setattr(propagation, "_node_sums", recording)
+    return seen
+
+
+def binary_graph(seed=3, n=30):
+    rng = random.Random(seed)
+    return edges_dataset({(s, t): 1.0 for s in range(n) for t in range(n)
+                          if s != t and rng.random() < 0.15})
+
+
+@pytest.mark.parametrize("ds, config, pruned", [
+    (binary_graph(), PropagationConfig(), True),
+    (binary_graph(), PropagationConfig(damping=0.9), False),
+    (binary_graph(), PropagationConfig(store_threshold=0.0), False),
+    (edges_dataset({**{e: 1.0 for e in [(0, 1), (1, 2), (2, 3), (3, 0)]},
+                    (2, 0): -0.5}), PropagationConfig(), False),
+])
+def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, pruned):
+    state, _, _ = run_round(init_network(ds), ds, config)
+    seen = record_targets(monkeypatch)
+    for _ in range(3):
+        state, _, _ = run_round(state, ds, config)
+    assert seen
+    if pruned:
+        assert all(isinstance(t, set) for t in seen)
+    else:
+        assert all(t is None for t in seen)
+
+
+def test_infer_trust_matches_full_average():
+    rng = random.Random(41)
+    for kind in ("binary", "positive", "signed", "quarters"):
+        ds = valued_graph(rng, kind, 10)
+        state = init_network(ds)
+        for _ in range(3):
+            state, _, _ = run_round(state, ds, PropagationConfig(store_threshold=0.3))
+        for x in state.tables:
+            neighbours = ds.trust_adjacency.positive_out.get(x, ())
+            averages = node_averages(state.tables, neighbours, 0.8)
+            for y in state.tables:
+                got = infer_trust(x, y, state.tables, 0.8)
+                want = averages.get(y)
+                if want is None:
+                    assert got is None
+                else:
+                    assert struct.pack("<d", got) == struct.pack("<d", want[0])
