@@ -1,11 +1,14 @@
 """Reference recommenders: TidalTrust, MoleTrust, simple average, correlation CF.
 
-TidalTrust searches breadth-first for the nearest raters and weights them by a
-recursively averaged trust restricted to strongest shortest paths; one walk
-back from each rater finds those paths and their threshold. MoleTrust levels
-the graph from the source (dropping non-forward edges) and, in one pass over
-the levels, pushes trust scores along the forward edges. Both feed the usual
-mean-centered weighted prediction.
+Both trust baselines run on one breadth-first search, `_Search`, which grows
+a level per call and can be resumed. TidalTrust extends it until it reaches
+the nearest raters and weights them by a recursively averaged trust
+restricted to strongest shortest paths; one walk back from each rater finds
+those paths and their threshold. A caller keeps one search per source across
+that source's items. MoleTrust levels the graph from the source up to its
+horizon (dropping non-forward edges) and, in one pass over the levels, pushes
+trust scores along the forward edges. Both feed the usual mean-centered
+weighted prediction.
 """
 
 from __future__ import annotations
@@ -24,31 +27,39 @@ class TidalResult:
     queries_issued: int = 0
 
 
-def _bfs_distances(adj, start, max_depth=None, targets=frozenset()):
-    """Breadth-first distances from `start` over `adj`, level by level.
+class _Search:
+    """Breadth-first search from `source` over `adj`, grown one level per
+    `extend()` call, so a caller can resume it as deep as each query needs.
 
-    The search stops after `max_depth` levels, or after the first level that
-    reaches a node in `targets`; the nodes of that last level are reached but
-    never expanded. Returns (dist, expansions), expansions being the number
-    of nodes whose out-list was read.
+    `dist` maps every reached node to its distance and `levels[d]` lists the
+    nodes at distance d in discovery order; every level but the last has
+    been expanded (its nodes' out-lists read). An empty last level means the
+    search is exhausted.
     """
-    dist = {start: 0}
-    frontier = [start]
-    depth = 0
-    expansions = 0
-    while frontier and depth != max_depth:
-        depth += 1
+
+    __slots__ = ("adj", "dist", "levels")
+
+    def __init__(self, adj, source):
+        self.adj = adj
+        self.dist = {source: 0}
+        self.levels = [[source]]
+
+    def extend(self) -> bool:
+        """Expand the last level; False when that reaches no new node."""
+        frontier = self.levels[-1]
+        if not frontier:
+            return False
+        adj = self.adj
+        dist = self.dist
+        depth = len(self.levels)
         reached = []
         for u in frontier:
             for v, _ in adj.get(u, ()):
                 if v not in dist:
                     dist[v] = depth
                     reached.append(v)
-        expansions += len(frontier)
-        frontier = reached
-        if not targets.isdisjoint(frontier):
-            break
-    return dist, expansions
+        self.levels.append(reached)
+        return bool(reached)
 
 
 def tidal_trust_infer(source: int, sink: int, dataset: Dataset) -> float | None:
@@ -61,24 +72,26 @@ def tidal_trust_infer(source: int, sink: int, dataset: Dataset) -> float | None:
     """
     if source == sink:
         raise ValueError("source and sink must differ")
-    adj = dataset.trust_adjacency.positive_out
-    dist, _ = _bfs_distances(adj, source, targets={sink})
-    if sink not in dist:
+    search = _Search(dataset.trust_adjacency.positive_out, source)
+    while sink not in search.dist and search.extend():
+        pass
+    if sink not in search.dist:
         return None
-    return _path_trust(source, sink, dist, dataset)[0]
+    return _path_trust(source, sink, search.dist, dataset)[0]
 
 
 def _path_trust(source, sink, dist, dataset):
     """TidalTrust's recursive average from source to a reachable sink.
 
-    `dist` holds the forward BFS distances from source, exact up to
-    dist[sink]. One walk back from the sink, stepping from a node at level
-    d + 1 only to predecessors at level d, finds the nodes on minimum-depth
-    paths and, for each, the strength of its strongest path to the sink
-    (path strength being the minimum edge weight); the source's strength is
-    the threshold. A forward pass would give the same threshold, as min and
-    max never round. Returns (trust or None, expansions), expansions being
-    the number of nodes whose in-list the walk read.
+    `dist` holds the forward BFS distances from source, exact at least up
+    to dist[sink]; deeper entries change nothing, as the walk reads only the
+    levels below the sink's. One walk back from the sink, stepping from a
+    node at level d + 1 only to predecessors at level d, finds the nodes on
+    minimum-depth paths and, for each, the strength of its strongest path to
+    the sink (path strength being the minimum edge weight); the source's
+    strength is the threshold. A forward pass would give the same threshold,
+    as min and max never round. Returns (trust or None, expansions),
+    expansions being the number of nodes whose in-list the walk read.
     """
     adj = dataset.trust_adjacency.positive_out
     pred = dataset.trust_adjacency.positive_in
@@ -121,7 +134,8 @@ def _path_trust(source, sink, dist, dataset):
     return trust.get(source), expansions
 
 
-def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResult:
+def tidal_trust_recommend(source: int, item: int, dataset: Dataset,
+                          search: _Search | None = None) -> TidalResult:
     """Trust-weighted average over the max-trust raters at the minimum depth.
 
     The source's own rating is never used. queries_issued counts BFS node
@@ -129,16 +143,29 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset) -> TidalResu
     algorithm: one forward search that stops at the depth of the closest
     raters, then, for each of those raters, the nodes expanded by the walk
     back over its minimum-depth paths to the source.
+
+    `search` is a `_Search` from source over the positive trust edges that a
+    caller predicting several items for one source keeps between calls; it
+    is extended only while no rater is reached. A resumed search may already
+    be deeper than this item needs, so queries_issued counts what a fresh
+    search would expand: the nodes at depths below the closest raters', or
+    every reached node when the search is exhausted without reaching one.
     """
     raters = dataset.item_raters(item)
-    adj = dataset.trust_adjacency.positive_out
+    if search is None:
+        search = _Search(dataset.trust_adjacency.positive_out, source)
+    dist = search.dist
 
-    # breadth-first search for the closest raters; the path DP reuses it
-    dist, queries = _bfs_distances(adj, source, targets=raters.keys())
-    at_depth = sorted(u for u in raters if u != source and u in dist)
-    if not at_depth:
-        return TidalResult(None, -1, set(), queries)
-    found_depth = dist[at_depth[0]]
+    # the smallest depth (>= 1, the source being at 0) that holds a rater
+    while True:
+        found_depth = min((dist[u] for u in raters if u in dist and u != source),
+                          default=0)
+        if found_depth or not search.extend():
+            break
+    if not found_depth:
+        return TidalResult(None, -1, set(), len(dist))
+    queries = sum(map(len, search.levels[:found_depth]))
+    at_depth = sorted(u for u in raters if dist.get(u) == found_depth)
 
     trusts = {}
     for rater in at_depth:
@@ -167,32 +194,40 @@ def mole_trust_scores(source: int, dataset: Dataset,
     Levels are first-visit BFS distances; only forward edges (level i to i+1)
     survive the cycle-removal step. A node's score is the weighted average of
     its positively-scored predecessors' edge statements. One pass over the
-    BFS distances, which list each level after the one before it, scores a
-    node from its predecessors' statements and then passes its own score on
-    along its forward edges, unless it is <= 0 or the node is at the horizon.
+    search's levels, in discovery order, scores a node from the [num, den]
+    sums its predecessors pushed to it and then pushes its own score along
+    its forward edges, unless it is <= 0 or the node is at the horizon.
     Returns node -> score, without the source.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     adj = dataset.trust_adjacency.out
-    dist, _ = _bfs_distances(adj, source, max_depth=horizon)
+    search = _Search(adj, source)
+    while len(search.levels) <= horizon and search.extend():
+        pass
+    dist = search.dist
 
     scores: dict[int, float] = {}
-    incoming: dict[int, list[tuple[float, float]]] = {}
-    for u, level in dist.items():
-        if level == 0:
-            score = 1.0
-        else:
-            preds = incoming.get(u)
-            if not preds:
-                continue
-            num = sum(sp * edge for sp, edge in preds)
-            den = sum(sp for sp, _ in preds)
-            score = scores[u] = num / den
-        if score > 0.0 and level < horizon:
-            for v, edge in adj.get(u, ()):
-                if dist.get(v) == level + 1:
-                    incoming.setdefault(v, []).append((score, edge))
+    sums: dict[int, list[float]] = {}
+    for level, nodes in enumerate(search.levels):
+        for u in nodes:
+            if level == 0:
+                score = 1.0
+            else:
+                acc = sums.get(u)
+                if acc is None:
+                    continue
+                score = scores[u] = acc[0] / acc[1]
+            if score > 0.0 and level < horizon:
+                for v, edge in adj.get(u, ()):
+                    if dist.get(v) == level + 1:
+                        acc = sums.get(v)
+                        if acc is None:
+                            # 0.0 + x turns a -0.0 product into 0.0, as sum() does
+                            sums[v] = [0.0 + score * edge, 0.0 + score]
+                        else:
+                            acc[0] += score * edge
+                            acc[1] += score
     return scores
 
 

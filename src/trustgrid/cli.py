@@ -78,6 +78,15 @@ def positive_int(text: str) -> int:
     return value
 
 
+_DEFAULT_HORIZON = 3
+
+
+def _add_horizon_flag(p):
+    # no argparse default, so _check_method_flags can tell whether it was given
+    p.add_argument("--horizon", type=positive_int,
+                   help=f"MoleTrust propagation horizon (default {_DEFAULT_HORIZON})")
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="trustgrid")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -108,8 +117,7 @@ def build_parser() -> _Parser:
     p.add_argument("--user", type=int, required=True)
     p.add_argument("--item", type=int, required=True)
     p.add_argument("--method", choices=evaluation.METHODS, default="proposed")
-    p.add_argument("--horizon", type=positive_int, default=3,
-                   help="MoleTrust propagation horizon (default 3)")
+    _add_horizon_flag(p)
 
     p = sub.add_parser("trust", help="query inferred trust or evaluate edge prediction")
     _add_input_flags(p, trust_required=True)
@@ -129,7 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--sample", type=fraction,
                    help="held-out rating sample fraction")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--horizon", type=positive_int, default=3)
+    _add_horizon_flag(p)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", help="write machine-readable report records here")
 
@@ -182,9 +190,16 @@ def _network_state(args, dataset, config):
 
 
 def _check_method_flags(args):
-    """Only the proposed method propagates, so a propagation flag or a
-    snapshot given with another method would be silently ignored. Call it
-    before _config_from_args, which fills in the flags not given."""
+    """Only the proposed method propagates and only mole reads --horizon, so
+    a propagation flag or a snapshot given with any method but proposed, or
+    --horizon with any method but mole, would be silently ignored. Fills in
+    the default horizon after the check. Call it before _config_from_args,
+    which fills in the propagation flags not given."""
+    if args.horizon is not None and args.method != "mole":
+        raise _UsageError(f"--horizon applies only to --method mole, "
+                          f"not {args.method}")
+    if args.horizon is None:
+        args.horizon = _DEFAULT_HORIZON
     if args.method == "proposed":
         return
     dests = {flag: dest for flag, (dest, _) in _PROPAGATION_FLAGS.items()}

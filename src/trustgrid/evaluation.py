@@ -174,9 +174,11 @@ def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
 
 def _user_memo(memo, user) -> dict:
     """The derived data of `user` kept in `memo`, which holds one user's only:
-    its MoleTrust weights ("mole") and its CF co-rating counts ("co").
-    Both depend only on the user (and the run's horizon), so consecutive
-    records of one user share them; a new user empties the memo.
+    its TidalTrust forward search ("tidal"), its MoleTrust weights ("mole")
+    and its CF co-rating counts ("co"). Each depends only on the user (and
+    the run's horizon), so consecutive records of one user share them; the
+    search grows as deep as the user's items need. A new user empties the
+    memo.
     """
     data = memo.get(user)
     if data is None:
@@ -207,7 +209,12 @@ def _predict_one(dataset, state, method, horizon, user, item, memo):
         depth = min(state.tables[user][y][1] for y, _, _ in rec.contributors)
         return rec.predicted, depth, rec.rating_recall
     if method == "tidal":
-        res = baselines.tidal_trust_recommend(user, item, dataset)
+        data = _user_memo(memo, user)
+        if "tidal" not in data:
+            data["tidal"] = baselines._Search(
+                dataset.trust_adjacency.positive_out, user)
+        res = baselines.tidal_trust_recommend(user, item, dataset,
+                                              search=data["tidal"])
         if res.predicted is None:
             return None, None, None
         others = sum(1 for u in dataset.item_raters(item) if u != user)
@@ -293,9 +300,10 @@ def evaluate_ratings(dataset: Dataset, method: str,
     `view_predicates(dataset)` when the caller has built it.
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
-    A user's MoleTrust weights and CF co-rating counts are computed once per
-    run of consecutive records of that user (see `_user_memo`); the records
-    come sorted by user, and each worker gets contiguous chunks of them.
+    A user's TidalTrust search, MoleTrust weights and CF co-rating counts are
+    computed once per run of consecutive records of that user (see
+    `_user_memo`); the records come sorted by user, and each worker gets
+    contiguous chunks of them.
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")

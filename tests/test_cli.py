@@ -359,6 +359,42 @@ def test_propagation_flag_with_baseline_method_is_usage_error(
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("method", ["proposed", "tidal", "cf", "avg"])
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_horizon_with_method_other_than_mole_is_usage_error(
+        small_dataset, tmp_path, command, method, caplog, capsys):
+    ratings, trust = small_dataset
+    out = tmp_path / "report.json"
+    extra = (["--user", "0", "--item", "7"] if command == "recommend"
+             else ["--out", str(out)])
+    assert main([command, "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, *extra, "--horizon", "7"]) == 1
+    assert f"--horizon applies only to --method mole, not {method}" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_horizon_with_mole_is_accepted(small_dataset, command, capsys):
+    ratings, trust = small_dataset
+    query = ["--user", "0", "--item", "7"] if command == "recommend" else []
+    assert main([command, "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", "mole", *query, "--horizon", "7"]) == 0
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("method, flags, horizon", [
+    ("tidal", [], 3), ("mole", [], 3), ("mole", ["--horizon", "7"], 7),
+])
+def test_evaluate_out_echoes_horizon(small_dataset, tmp_path, method, flags,
+                                     horizon, capsys):
+    ratings, trust = small_dataset
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", method, "--out", str(out), *flags]) == 0
+    assert json.loads(out.read_text())["config"]["horizon"] == horizon
+
+
 @pytest.mark.parametrize("method, flags, echoed", [
     ("proposed", [], (0.8, 0.7, 50, 1e-06)),
     ("avg", [], (0.8, 0.7, 50, 1e-06)),

@@ -1,3 +1,6 @@
+import ast
+import os
+
 import pytest
 from pytest import approx
 
@@ -203,6 +206,82 @@ def test_mole_scores_computed_once_per_user(monkeypatch):
     assert len(records) > len(users)
     assert sorted(scored) == sorted(users)
     assert [r.predicted for r in results] == expected
+
+
+def _tidal_facts(res):
+    return (res.predicted, res.depth, sorted(res.raters_considered),
+            res.queries_issued)
+
+
+@pytest.fixture(scope="module", params=[("binary", 5), ("uniform_signed", 6)],
+                ids=["binary", "uniform_signed"])
+def tidal_graph(request):
+    mode, seed = request.param
+    return generate_synthetic(SyntheticSpec(n_users=60, n_items=80,
+                                            trust_value_mode=mode, rng_seed=seed))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_tidal_resumed_search_matches_fresh(tidal_graph, jobs, tmp_path,
+                                            monkeypatch):
+    ds = tidal_graph
+    original = baselines.tidal_trust_recommend
+
+    def recording(source, item, dataset, search=None):
+        res = original(source, item, dataset, search=search)
+        # one file per process, as the workers of jobs=2 run in their own
+        with open(tmp_path / str(os.getpid()), "a", encoding="utf-8") as fh:
+            fh.write(repr(((source, item), _tidal_facts(res))) + "\n")
+        return res
+
+    monkeypatch.setattr(baselines, "tidal_trust_recommend", recording)
+    results = evaluate_ratings(ds, "tidal", jobs=jobs)
+    monkeypatch.undo()
+    got = dict(ast.literal_eval(line) for f in tmp_path.iterdir()
+               for line in f.read_text().splitlines())
+    assert sorted(got) == [(u, i) for u, i, _ in ds.rating_list()]
+    for r in results:
+        fresh = baselines.tidal_trust_recommend(r.user, r.item, ds)
+        assert got[r.user, r.item] == _tidal_facts(fresh)
+        assert (r.predicted, r.depth) == ((None, None) if fresh.predicted is None
+                                          else (fresh.predicted, fresh.depth))
+    assert any(r.predicted is not None for r in results)
+
+
+def test_tidal_search_deeper_than_needed_matches_fresh(tidal_graph):
+    ds = tidal_graph
+    positive = ds.trust_adjacency.positive_out
+    deeper = 0  # queries answered by a search already past their depth
+    for user in sorted(ds.users):
+        fresh = {i: baselines.tidal_trust_recommend(user, i, ds) for i in sorted(ds.items)}
+        # farthest first, items with no reachable rater (which exhaust the
+        # search) before all others
+        order = sorted(fresh, key=lambda i: (fresh[i].depth != -1, -fresh[i].depth, i))
+        search = baselines._Search(positive, user)
+        for item in order:
+            searched = len(search.levels) - 1
+            res = baselines.tidal_trust_recommend(user, item, ds, search=search)
+            assert _tidal_facts(res) == _tidal_facts(fresh[item])
+            deeper += 0 <= res.depth < searched
+    assert deeper > 100
+
+
+def test_tidal_search_started_once_per_user(monkeypatch):
+    ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100, rng_seed=2))
+    started = []
+
+    class Counting(baselines._Search):
+        __slots__ = ()
+
+        def __init__(self, adj, source):
+            started.append(source)
+            super().__init__(adj, source)
+
+    monkeypatch.setattr(baselines, "_Search", Counting)
+    evaluate_ratings(ds, "tidal", sample=0.3, seed=3)
+    users = [u for u, _, _ in sample_ratings(ds, 0.3, seed=3)]
+    assert len(users) > len(set(users))
+    assert started == sorted(set(users))
 
 
 def test_delta_baselines_run_for_hits_only(monkeypatch):
