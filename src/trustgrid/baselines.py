@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 from .model import Dataset, NoRatingsError, RATING_MAX, RATING_MIN
 
+DEFAULT_HORIZON = 3  # MoleTrust's propagation horizon, in BFS levels
+
 
 @dataclass(slots=True)
 class TidalResult:
@@ -188,7 +190,7 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset,
 
 
 def mole_trust_scores(source: int, dataset: Dataset,
-                      horizon: int = 3) -> dict[int, float]:
+                      horizon: int = DEFAULT_HORIZON) -> dict[int, float]:
     """Per-node trust scores within `horizon` BFS levels of the source.
 
     Levels are first-visit BFS distances; only forward edges (level i to i+1)

@@ -78,13 +78,11 @@ def positive_int(text: str) -> int:
     return value
 
 
-_DEFAULT_HORIZON = 3
-
-
 def _add_horizon_flag(p):
     # no argparse default, so _check_method_flags can tell whether it was given
     p.add_argument("--horizon", type=positive_int,
-                   help=f"MoleTrust propagation horizon (default {_DEFAULT_HORIZON})")
+                   help="MoleTrust propagation horizon "
+                        f"(default {baselines.DEFAULT_HORIZON})")
 
 
 def build_parser() -> _Parser:
@@ -199,7 +197,7 @@ def _check_method_flags(args):
         raise _UsageError(f"--horizon applies only to --method mole, "
                           f"not {args.method}")
     if args.horizon is None:
-        args.horizon = _DEFAULT_HORIZON
+        args.horizon = baselines.DEFAULT_HORIZON
     if args.method == "proposed":
         return
     dests = {flag: dest for flag, (dest, _) in _PROPAGATION_FLAGS.items()}
@@ -287,8 +285,8 @@ def _cmd_recommend(args):
               f"contributors={len(rec.contributors)} "
               f"rating_recall={rec.rating_recall:.4f}")
         return EXIT_OK
-    predicted, depth, _ = evaluation._predict_one(
-        dataset, None, args.method, args.horizon, args.user, args.item, {})
+    predicted, depth, _ = evaluation._predictor(
+        dataset, None, args.method, args.horizon, args.user)(args.item)
     if predicted is None:
         print("no prediction")
     elif depth is not None:
@@ -329,13 +327,9 @@ def _cmd_evaluate(args):
     state = None
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
-    predicates = evaluation.view_predicates(dataset)
-    results = evaluation.evaluate_ratings(
+    report = evaluation.leave_one_out_ratings(
         dataset, args.method, config, sample=args.sample, seed=args.seed,
-        horizon=args.horizon, state=state, jobs=args.jobs, view=args.view,
-        predicates=predicates)
-    report = evaluation.build_report(results, args.method, args.view, dataset,
-                                     predicates=predicates)
+        view=args.view, horizon=args.horizon, state=state, jobs=args.jobs)
 
     def fmt(x):
         return "na" if x is None else f"{x:.4f}"

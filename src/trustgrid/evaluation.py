@@ -12,6 +12,8 @@ from __future__ import annotations
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from . import baselines
 from .model import Dataset, TrustgridError
@@ -172,89 +174,79 @@ def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
 
 # -- leave-one-out over ratings -------------------------------------------
 
-def _user_memo(memo, user) -> dict:
-    """The derived data of `user` kept in `memo`, which holds one user's only:
-    its TidalTrust forward search ("tidal"), its MoleTrust weights ("mole")
-    and its CF co-rating counts ("co"). Each depends only on the user (and
-    the run's horizon), so consecutive records of one user share them; the
-    search grows as deep as the user's items need. A new user empties the
-    memo.
-    """
-    data = memo.get(user)
-    if data is None:
-        memo.clear()
-        data = memo[user] = {}
-    return data
-
-
-def _cf_predict(dataset, user, item, memo):
-    """Correlation CF for one held-out rating, with the user's co-rating
-    counts kept in `memo`."""
-    data = _user_memo(memo, user)
-    if "co" not in data:
-        data["co"] = baselines.co_rating_counts(user, dataset)
-    return baselines.correlation_cf_predict(user, item, dataset, exclude_item=item,
-                                            co_ratings=data["co"])
-
-
-def _predict_one(dataset, state, method, horizon, user, item, memo):
-    """(predicted, depth, rating_recall) for one held-out rating.
-
-    `memo` is passed to `_user_memo`; an empty dict serves a single query.
-    """
+def _predictor(dataset, state, method, horizon, user):
+    """`predict(item) -> (predicted, depth, rating_recall)` for `user`'s
+    held-out ratings. What depends only on the user is built here, once:
+    its TidalTrust forward search (resumed as deep as each item needs), its
+    positive MoleTrust weights or its CF co-rating counts."""
     if method == "proposed":
-        rec = recommend(state, user, item, dataset)
-        if rec is None:
-            return None, None, None
-        depth = min(state.tables[user][y][1] for y, _, _ in rec.contributors)
-        return rec.predicted, depth, rec.rating_recall
-    if method == "tidal":
-        data = _user_memo(memo, user)
-        if "tidal" not in data:
-            data["tidal"] = baselines._Search(
-                dataset.trust_adjacency.positive_out, user)
-        res = baselines.tidal_trust_recommend(user, item, dataset,
-                                              search=data["tidal"])
-        if res.predicted is None:
-            return None, None, None
-        others = sum(1 for u in dataset.item_raters(item) if u != user)
-        recall = len(res.raters_considered) / others if others else None
-        return res.predicted, res.depth, recall
-    if method == "mole":
-        data = _user_memo(memo, user)
-        if "mole" not in data:
-            scores = baselines.mole_trust_scores(user, dataset, horizon)
-            data["mole"] = {u: s for u, s in scores.items() if s > 0.0}
-        return baselines.mole_trust_predict(
-            user, item, data["mole"], dataset, exclude_item=item), None, None
-    if method == "avg":
-        return baselines.simple_average(item, dataset, exclude=user), None, None
-    if method == "cf":
-        return _cf_predict(dataset, user, item, memo), None, None
-    raise UnknownMethodError(f"unknown method {method!r}")
+        def predict(item):
+            rec = recommend(state, user, item, dataset)
+            if rec is None:
+                return None, None, None
+            depth = min(state.tables[user][y][1] for y, _, _ in rec.contributors)
+            return rec.predicted, depth, rec.rating_recall
+    elif method == "tidal":
+        search = baselines._Search(dataset.trust_adjacency.positive_out, user)
+
+        def predict(item):
+            res = baselines.tidal_trust_recommend(user, item, dataset, search=search)
+            if res.predicted is None:
+                return None, None, None
+            others = sum(1 for u in dataset.item_raters(item) if u != user)
+            recall = len(res.raters_considered) / others if others else None
+            return res.predicted, res.depth, recall
+    elif method == "mole":
+        scores = baselines.mole_trust_scores(user, dataset, horizon)
+        weights = {u: s for u, s in scores.items() if s > 0.0}
+
+        def predict(item):
+            return baselines.mole_trust_predict(
+                user, item, weights, dataset, exclude_item=item), None, None
+    elif method == "avg":
+        def predict(item):
+            return baselines.simple_average(item, dataset, exclude=user), None, None
+    elif method == "cf":
+        co_ratings = baselines.co_rating_counts(user, dataset)
+
+        def predict(item):
+            return baselines.correlation_cf_predict(
+                user, item, dataset, exclude_item=item,
+                co_ratings=co_ratings), None, None
+    else:
+        raise UnknownMethodError(f"unknown method {method!r}")
+    return predict
 
 
-def _evaluate_record(dataset, state, method, horizon, record, memo):
-    user, item, actual = record
-    predicted, depth, recall = _predict_one(dataset, state, method, horizon,
-                                            user, item, memo)
-    if predicted is None:
-        return HeldOutResult(user, item, actual, None, depth, recall, None, None)
-    # delta_a/delta_cf baselines; reuse the prediction when the method is one
-    if method == "avg":
-        avg = predicted
-    else:
-        avg = baselines.simple_average(item, dataset, exclude=user)
-    if method == "cf":
-        cf = predicted
-    else:
-        cf = _cf_predict(dataset, user, item, memo)
-    return HeldOutResult(
-        user=user, item=item, actual=actual, predicted=predicted,
-        depth=depth, rating_recall=recall,
-        delta_a=abs(actual - avg) if avg is not None else None,
-        delta_cf=abs(actual - cf) if cf is not None else None,
-    )
+def _evaluate_user(dataset, state, method, horizon, user, records):
+    """HeldOutResults of `user`'s held-out (item, actual) records, in order.
+    A hit also runs the delta baselines, reusing the prediction when the
+    method is one; the CF predictor is built at the user's first hit."""
+    predict = _predictor(dataset, state, method, horizon, user)
+    cf_predict = None
+    results = []
+    for item, actual in records:
+        predicted, depth, recall = predict(item)
+        if predicted is None:
+            results.append(HeldOutResult(user, item, actual, None, None, None,
+                                         None, None))
+            continue
+        if method == "avg":
+            avg = predicted
+        else:
+            avg = baselines.simple_average(item, dataset, exclude=user)
+        if method == "cf":
+            cf = predicted
+        else:
+            cf_predict = cf_predict or _predictor(dataset, state, "cf", horizon, user)
+            cf = cf_predict(item)[0]
+        results.append(HeldOutResult(
+            user=user, item=item, actual=actual, predicted=predicted,
+            depth=depth, rating_recall=recall,
+            delta_a=abs(actual - avg) if avg is not None else None,
+            delta_cf=abs(actual - cf) if cf is not None else None,
+        ))
+    return results
 
 
 _worker_ctx = {}
@@ -262,13 +254,10 @@ _worker_ctx = {}
 
 def _init_worker(dataset, state, method, horizon):
     _worker_ctx["args"] = (dataset, state, method, horizon)
-    _worker_ctx["memo"] = {}
 
 
-def _worker_task(record):
-    dataset, state, method, horizon = _worker_ctx["args"]
-    return _evaluate_record(dataset, state, method, horizon, record,
-                            _worker_ctx["memo"])
+def _worker_task(group):
+    return _evaluate_user(*_worker_ctx["args"], *group)
 
 
 def _sample(population, fraction: float | None, seed: int):
@@ -289,7 +278,8 @@ def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
 def evaluate_ratings(dataset: Dataset, method: str,
                      config: PropagationConfig | None = None,
                      sample: float | None = None, seed: int = 0,
-                     horizon: int = 3, state: NetworkState | None = None,
+                     horizon: int = baselines.DEFAULT_HORIZON,
+                     state: NetworkState | None = None,
                      jobs: int = 1, view: str = "all",
                      predicates=None) -> list[HeldOutResult]:
     """Run leave-one-out prediction over (sampled) ratings for one method.
@@ -300,32 +290,34 @@ def evaluate_ratings(dataset: Dataset, method: str,
     `view_predicates(dataset)` when the caller has built it.
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
-    A user's TidalTrust search, MoleTrust weights and CF co-rating counts are
-    computed once per run of consecutive records of that user (see
-    `_user_memo`); the records come sorted by user, and each worker gets
-    contiguous chunks of them.
+    The records come sorted by user and are evaluated one user at a time
+    (`_evaluate_user`), so a user's TidalTrust search, MoleTrust weights and
+    CF co-rating counts are built once; with `jobs` > 1 each worker gets
+    whole users. Results keep the order of the records.
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
     keep = _view_predicate(dataset, view, predicates)
     if method == "proposed" and state is None:
         state = propagate(dataset, config or PropagationConfig())
-    records = [(u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
-               if keep(u, i)]
+    records = ((u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
+               if keep(u, i))
+    groups = [(user, [(i, v) for _, i, v in rows])
+              for user, rows in groupby(records, key=itemgetter(0))]
     if jobs > 1:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
                                  initializer=_init_worker,
                                  initargs=(dataset, state, method, horizon)) as pool:
-            return list(pool.map(_worker_task, records, chunksize=64))
-    memo = {}
-    return [_evaluate_record(dataset, state, method, horizon, r, memo)
-            for r in records]
+            per_user = list(pool.map(_worker_task, groups, chunksize=16))
+    else:
+        per_user = [_evaluate_user(dataset, state, method, horizon, user, rows)
+                    for user, rows in groups]
+    return [r for results in per_user for r in results]
 
 
 def build_report(results, method: str, view: str, dataset: Dataset,
-                 thresholds=DEFAULT_DELTA_THRESHOLDS,
                  predicates=None) -> EvalReport:
     """Aggregate held-out results into the metric bundle for one view.
     `predicates` is `view_predicates(dataset)` when the caller has built it."""
@@ -362,14 +354,15 @@ def build_report(results, method: str, view: str, dataset: Dataset,
         users_coverage=users_cov,
         mean_rating_recall=mae(recalls) if recalls else None,
         depth_histogram=histogram,
-        delta_curve=delta_curve(triples, thresholds),
+        delta_curve=delta_curve(triples),
     )
 
 
 def leave_one_out_ratings(dataset: Dataset, method: str,
                           config: PropagationConfig | None = None,
                           sample: float | None = None, seed: int = 0,
-                          view: str = "all", horizon: int = 3,
+                          view: str = "all",
+                          horizon: int = baselines.DEFAULT_HORIZON,
                           state: NetworkState | None = None,
                           jobs: int = 1) -> EvalReport:
     """Leave-one-out evaluation of one method, reported for one view."""

@@ -98,6 +98,11 @@ def load_dataset(ratings_path=None, trust_path=None) -> Dataset:
 
 # -- synthetic data -------------------------------------------------------
 
+_COMMUNITY_SIZE = 50       # users per taste community
+_IN_COMMUNITY_BIAS = 0.9   # chance that a trust edge stays in its community
+_RATING_NOISE = 0.8        # stdev of a rating around its community's item mean
+
+
 @dataclass(slots=True)
 class SyntheticSpec:
     """Parameters for a seeded synthetic dataset.
@@ -115,9 +120,6 @@ class SyntheticSpec:
     avg_ratings_per_user: float = 15.0
     trust_value_mode: str = "binary"  # or "uniform_signed"
     rng_seed: int = 0
-    community_size: int = 50
-    in_community_bias: float = 0.9
-    rating_noise: float = 0.8
 
     def __post_init__(self):
         if self.n_users <= 0 or self.n_items <= 0:
@@ -126,8 +128,6 @@ class SyntheticSpec:
             raise ValueError("averages must be positive")
         if self.trust_value_mode not in ("binary", "uniform_signed"):
             raise ValueError(f"unknown trust_value_mode {self.trust_value_mode!r}")
-        if self.community_size <= 0:
-            raise ValueError("community_size must be positive")
 
 
 def _poisson(rng: random.Random, mean: float) -> int:
@@ -146,7 +146,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Deterministic synthetic dataset for a given spec and seed."""
     rng = random.Random(spec.rng_seed)
     n = spec.n_users
-    n_comm = max(1, n // spec.community_size)
+    n_comm = max(1, n // _COMMUNITY_SIZE)
     community = [u * n_comm // n for u in range(n)]
     members = {}
     for u in range(n):
@@ -167,7 +167,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         attempts = 0
         while len(targets) < degree and attempts < degree * 20:
             attempts += 1
-            if n > 1 and rng.random() < spec.in_community_bias:
+            if n > 1 and rng.random() < _IN_COMMUNITY_BIAS:
                 pool = members[community[u]]
                 t = pool[rng.randrange(len(pool))]
             else:
@@ -188,7 +188,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
             key = (community[u], item)
             if key not in item_means:
                 item_means[key] = rng.uniform(RATING_MIN, RATING_MAX)
-            value = round(rng.gauss(item_means[key], spec.rating_noise))
+            value = round(rng.gauss(item_means[key], _RATING_NOISE))
             ratings.append((u, item, min(RATING_MAX, max(RATING_MIN, value))))
 
     return Dataset(ratings, edges, users=range(n), items=range(spec.n_items))

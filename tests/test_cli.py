@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from trustgrid import evaluation
+from trustgrid import baselines, evaluation
 from trustgrid.cli import build_parser, main
 from trustgrid.ingest import load_dataset, save_snapshot
 from trustgrid.propagation import PropagationConfig, propagate
@@ -130,6 +130,48 @@ def test_evaluate_proposed_with_snapshot_cache(tmp_path, capsys):
         assert main(query + ["--snapshot", str(snap)]) == 0
         assert capsys.readouterr().out == fresh
     assert snap.exists()
+
+
+def _baseline_recommend_line(method, user, item, ds):
+    """The line `recommend --method <method>` prints, from the library."""
+    depth = None
+    if method == "tidal":
+        res = baselines.tidal_trust_recommend(user, item, ds)
+        predicted, depth = res.predicted, res.depth
+    elif method == "mole":
+        scores = baselines.mole_trust_scores(user, ds)
+        weights = {u: s for u, s in scores.items() if s > 0.0}
+        predicted = baselines.mole_trust_predict(user, item, weights, ds,
+                                                 exclude_item=item)
+    elif method == "cf":
+        predicted = baselines.correlation_cf_predict(user, item, ds, exclude_item=item)
+    else:
+        predicted = baselines.simple_average(item, ds, exclude=user)
+    if predicted is None:
+        return "no prediction"
+    if depth is None:
+        return f"predicted={predicted:.4f}"
+    return f"predicted={predicted:.4f} depth={depth}"
+
+
+@pytest.mark.parametrize("method", ["tidal", "mole", "cf", "avg"])
+def test_recommend_baseline_matches_library(method, tmp_path, capsys):
+    r, t = tmp_path / "r.txt", tmp_path / "t.txt"
+    assert main(["synth", "--users", "40", "--items", "200", "--degree", "3",
+                 "--seed", "3", "--out-ratings", str(r), "--out-trust", str(t)]) == 0
+    ds = load_dataset(r, t)
+    # the first held-out rating the method misses and the first it predicts
+    cases = {}
+    for user, item, _ in ds.rating_list():
+        line = _baseline_recommend_line(method, user, item, ds)
+        cases.setdefault(line == "no prediction", (user, item, line))
+    assert sorted(cases) == [False, True]
+    for user, item, line in cases.values():
+        capsys.readouterr()
+        assert main(["recommend", "--ratings", str(r), "--trust", str(t),
+                     "--method", method, "--user", str(user),
+                     "--item", str(item)]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_snapshot_with_other_settings_is_data_error(small_dataset, tmp_path,

@@ -303,6 +303,29 @@ def test_delta_baselines_run_for_hits_only(monkeypatch):
                for r in results if r.predicted is None)
 
 
+@pytest.mark.parametrize("method", ["proposed", "tidal", "cf"])
+def test_co_ratings_built_once_per_user_with_a_hit(method, monkeypatch):
+    # a sparse trust graph, so some users get no proposed or tidal hit
+    ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100,
+                                          avg_out_degree=1.0, rng_seed=2))
+    counted = []
+    original = baselines.co_rating_counts
+
+    def counting(a, dataset):
+        counted.append(a)
+        return original(a, dataset)
+
+    monkeypatch.setattr(baselines, "co_rating_counts", counting)
+    results = evaluate_ratings(ds, method, sample=0.3, seed=3, jobs=1)
+    sampled = {r.user for r in results}
+    hit = {r.user for r in results if r.predicted is not None}
+    if method == "cf":
+        assert counted == sorted(sampled)
+    else:
+        assert hit and hit < sampled
+        assert counted == sorted(hit)
+
+
 def test_sampling_empty_population():
     assert sample_ratings(Dataset([], [(0, 1, 1.0)]), 0.5, seed=1) == []
     assert leave_one_out_trust(Dataset([(0, 7, 4)]), sample=0.5) == (None, None)
