@@ -232,10 +232,13 @@ def _cmd_stats(args):
 
 
 def _cmd_synth(args):
-    spec = ingest.SyntheticSpec(
-        n_users=args.users, n_items=args.items, avg_out_degree=args.degree,
-        avg_ratings_per_user=args.ratings_per_user,
-        trust_value_mode=args.mode, rng_seed=args.seed)
+    try:
+        spec = ingest.SyntheticSpec(
+            n_users=args.users, n_items=args.items, avg_out_degree=args.degree,
+            avg_ratings_per_user=args.ratings_per_user,
+            trust_value_mode=args.mode, rng_seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     dataset = ingest.generate_synthetic(spec)
     # output paths are volatile and do not determine content
     echoed = {k: v for k, v in _echo_config(args).items()

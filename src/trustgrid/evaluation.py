@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
@@ -73,14 +73,8 @@ class EvalReport:
     delta_curve: list[DeltaCurvePoint] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "method", "view", "n_attempted", "n_predicted", "mae", "maue",
-            "ratings_coverage", "users_coverage", "mean_rating_recall")}
+        d = asdict(self)
         d["depth_histogram"] = {str(k): v for k, v in sorted(self.depth_histogram.items())}
-        d["delta_curve"] = [{
-            "min_delta_a": p.min_delta_a, "n": p.n,
-            "mean_delta_r": p.mean_delta_r, "mean_delta_a": p.mean_delta_a,
-            "mean_delta_cf": p.mean_delta_cf} for p in self.delta_curve]
         return d
 
 
@@ -113,16 +107,6 @@ def view_predicates(dataset: Dataset):
     }
 
 
-def _view_predicate(dataset: Dataset, view: str, predicates=None):
-    """The (user, item) predicate of one view; ValueError for an unknown one.
-    `predicates` is `view_predicates(dataset)` when the caller has built it."""
-    if predicates is None:
-        predicates = view_predicates(dataset)
-    if view not in predicates:
-        raise ValueError(f"unknown view {view!r}")
-    return predicates[view]
-
-
 # -- metric primitives ----------------------------------------------------
 
 def mae(errors) -> float:
@@ -151,15 +135,16 @@ def coverage_metrics(results):
     return predicted / len(results), len(users_predicted) / len(users_attempted)
 
 
-def delta_curve(triples, thresholds=DEFAULT_DELTA_THRESHOLDS):
-    """Mean deltas restricted to held-out ratings with delta_a >= threshold.
+def delta_curve(triples):
+    """Mean deltas restricted to held-out ratings with delta_a >= threshold,
+    one point per threshold of DEFAULT_DELTA_THRESHOLDS.
 
     `triples` holds (delta_a, delta_r, delta_cf) rows; delta_cf may be None
     and is then skipped in its own mean only.
     """
     triples = list(triples)
     points = []
-    for tau in thresholds:
+    for tau in DEFAULT_DELTA_THRESHOLDS:
         bucket = [t for t in triples if t[0] >= tau]
         cf_values = [t[2] for t in bucket if t[2] is not None]
         points.append(DeltaCurvePoint(
@@ -276,18 +261,18 @@ def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
 
 
 def evaluate_ratings(dataset: Dataset, method: str,
-                     config: PropagationConfig | None = None,
+                     config: PropagationConfig | None = None, *,
                      sample: float | None = None, seed: int = 0,
+                     view: str = "all",
                      horizon: int = baselines.DEFAULT_HORIZON,
                      state: NetworkState | None = None,
-                     jobs: int = 1, view: str = "all",
-                     predicates=None) -> list[HeldOutResult]:
+                     jobs: int = 1) -> list[HeldOutResult]:
     """Run leave-one-out prediction over (sampled) ratings for one method.
 
-    The sample is drawn from all ratings, then only the records in `view`
-    are predicted, so `build_report` for that view reads the same rows as if
-    every sampled record had been predicted. `predicates` is
-    `view_predicates(dataset)` when the caller has built it.
+    This is the one place a view is applied: the sample is drawn from all
+    ratings, then only its records in `view` (by `view_predicates`, built
+    once; ValueError for an unknown view) are predicted and returned, so a
+    view's results are the full sample's results filtered by the view.
     For `proposed`, propagation runs once on the full trust graph (hiding a
     rating leaves trust edges untouched); a precomputed `state` skips it.
     The records come sorted by user and are evaluated one user at a time
@@ -297,7 +282,10 @@ def evaluate_ratings(dataset: Dataset, method: str,
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
-    keep = _view_predicate(dataset, view, predicates)
+    predicates = view_predicates(dataset)
+    if view not in predicates:
+        raise ValueError(f"unknown view {view!r}")
+    keep = predicates[view]
     if method == "proposed" and state is None:
         state = propagate(dataset, config or PropagationConfig())
     records = ((u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
@@ -317,13 +305,10 @@ def evaluate_ratings(dataset: Dataset, method: str,
     return [r for results in per_user for r in results]
 
 
-def build_report(results, method: str, view: str, dataset: Dataset,
-                 predicates=None) -> EvalReport:
-    """Aggregate held-out results into the metric bundle for one view.
-    `predicates` is `view_predicates(dataset)` when the caller has built it."""
-    keep = _view_predicate(dataset, view, predicates)
-    rows = [r for r in results if keep(r.user, r.item)]
-
+def build_report(results, method: str, view: str) -> EvalReport:
+    """Aggregate held-out results into the metric bundle of a report labelled
+    `method` and `view`; `evaluate_ratings` has already applied the view."""
+    rows = list(results)
     hits = [r for r in rows if r.predicted is not None]
     errors = [abs(r.actual - r.predicted) for r in hits]
     per_user: dict[int, list[float]] = {}
@@ -359,17 +344,16 @@ def build_report(results, method: str, view: str, dataset: Dataset,
 
 
 def leave_one_out_ratings(dataset: Dataset, method: str,
-                          config: PropagationConfig | None = None,
+                          config: PropagationConfig | None = None, *,
                           sample: float | None = None, seed: int = 0,
                           view: str = "all",
                           horizon: int = baselines.DEFAULT_HORIZON,
                           state: NetworkState | None = None,
                           jobs: int = 1) -> EvalReport:
     """Leave-one-out evaluation of one method, reported for one view."""
-    predicates = view_predicates(dataset)
-    results = evaluate_ratings(dataset, method, config, sample, seed,
-                               horizon, state, jobs, view, predicates)
-    return build_report(results, method, view, dataset, predicates=predicates)
+    results = evaluate_ratings(dataset, method, config, sample=sample, seed=seed,
+                               view=view, horizon=horizon, state=state, jobs=jobs)
+    return build_report(results, method, view)
 
 
 # -- leave-one-out over trust edges ---------------------------------------

@@ -3,7 +3,9 @@
 Rating and trust files are whitespace-delimited text, one record per line,
 with `#` comment lines allowed (the layout of the public Epinions dumps).
 Snapshots persist a propagated network state as versioned text so expensive
-propagation runs can be cached and reloaded bit-exactly.
+propagation runs can be cached and reloaded bit-exactly; each header records
+the damping, storage threshold, round and convergence it was built with, and
+a run reuses it only when they fit.
 """
 
 from __future__ import annotations
@@ -122,9 +124,10 @@ class SyntheticSpec:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.n_users <= 0 or self.n_items <= 0:
+        # written as `not x > 0` so that NaN is refused too
+        if not (self.n_users > 0 and self.n_items > 0):
             raise ValueError("user and item counts must be positive")
-        if self.avg_out_degree <= 0 or self.avg_ratings_per_user <= 0:
+        if not (self.avg_out_degree > 0 and self.avg_ratings_per_user > 0):
             raise ValueError("averages must be positive")
         if self.trust_value_mode not in ("binary", "uniform_signed"):
             raise ValueError(f"unknown trust_value_mode {self.trust_value_mode!r}")
@@ -225,13 +228,12 @@ def dataset_stats(dataset: Dataset) -> DatasetStats:
 
 # -- snapshots ------------------------------------------------------------
 
-def save_snapshot(state: NetworkState, path, config=None) -> None:
-    """Write a network state as versioned text; floats keep full precision."""
-    damping = getattr(config, "damping", None)
-    threshold = getattr(config, "store_threshold", None)
+def save_snapshot(state: NetworkState, path, config) -> None:
+    """Write a network state, propagated under `config`, as versioned text;
+    the header records its round, `config`'s damping and storage threshold,
+    and whether it converged. Floats keep full precision."""
     header = (f"{SNAPSHOT_MAGIC} {SNAPSHOT_VERSION} round={state.round} "
-              f"lambda={'na' if damping is None else repr(damping)} "
-              f"threshold={'na' if threshold is None else repr(threshold)} "
+              f"lambda={config.damping!r} threshold={config.store_threshold!r} "
               f"converged={int(state.converged)}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -252,21 +254,19 @@ def _flag(text: str) -> bool:
 
 def _read_header(fh, path) -> dict:
     """A snapshot's first line: `round` as an int, `converged` as a bool,
-    `lambda` and `threshold` as floats, or None when saved as `na` (without
-    a config)."""
+    `lambda` and `threshold` as floats. A missing or malformed field is a
+    ParseError on line 1."""
     header = fh.readline().split()
     if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
         raise VersionError(f"{path}: not a trustgrid snapshot")
     if header[1] != SNAPSHOT_VERSION:
         raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
-    meta = {"round": "0", "converged": "0", "lambda": "na", "threshold": "na"}
-    meta.update(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+    meta = dict(tok.split("=", 1) for tok in header[2:] if "=" in tok)
     fields = {}
     for key, kind in (("round", int), ("converged", _flag),
                       ("lambda", float), ("threshold", float)):
-        if kind is float and meta[key] == "na":
-            fields[key] = None
-            continue
+        if key not in meta:
+            raise ParseError(1, f"{path}: header lacks {key}=")
         try:
             fields[key] = kind(meta[key])
         except ValueError:
@@ -277,9 +277,8 @@ def _read_header(fh, path) -> dict:
 
 def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     """This run's state: init_network(dataset) plus a snapshot's inferred
-    entries, bit-exact. StaleSnapshotError when the snapshot's damping or
-    storage threshold (`na` matches any), round or entries do not fit this
-    run."""
+    entries, bit-exact. StaleSnapshotError when the snapshot's damping,
+    storage threshold, round or entries do not fit this run."""
     state = init_network(dataset)
     tables = state.tables
     direct = set()  # (owner, target) of the direct lines read so far
@@ -292,10 +291,9 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
         meta = _read_header(fh, path)
         for key, value in (("lambda", config.damping),
                            ("threshold", config.store_threshold)):
-            saved = meta[key]
-            if saved is not None and saved != value:
+            if meta[key] != value:
                 raise StaleSnapshotError(
-                    f"{path}: snapshot was built with {key}={saved!r}, "
+                    f"{path}: snapshot was built with {key}={meta[key]!r}, "
                     f"but this run uses {key}={value!r}")
         state.round, state.converged = meta["round"], meta["converged"]
         # a run converges in a round from 1 to max_rounds or stops

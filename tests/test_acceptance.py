@@ -195,7 +195,7 @@ def test_criterion_6_coverage_direction(capsys):
 
     def run(method):
         results = evaluate_ratings(ds, method, config, state=state)
-        report = build_report(results, method, "all", ds)
+        report = build_report(results, method, "all")
         return report.ratings_coverage, report.mae
 
     prop_cov, prop_mae = run("proposed")
@@ -223,7 +223,7 @@ def test_criterion_7_full_dataset_spot_check(capsys):
     ok = (stats.n_users == 49290 and stats.n_items == 139738
           and stats.n_ratings == 664824 and stats.n_trust_edges == 487181)
     results = evaluate_ratings(ds, "tidal", sample=0.01, seed=0)
-    report = build_report(results, "tidal", "all", ds)
+    report = build_report(results, "tidal", "all")
     ok = ok and abs(report.mae - 0.874) <= 0.15
     positive_depths = {d: c for d, c in report.depth_histogram.items() if d > 0}
     ok = ok and max(positive_depths, key=positive_depths.get) == 2

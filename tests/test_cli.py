@@ -5,8 +5,8 @@ import pytest
 
 from trustgrid import baselines, evaluation
 from trustgrid.cli import build_parser, main
-from trustgrid.ingest import load_dataset, save_snapshot
-from trustgrid.propagation import PropagationConfig, propagate
+from trustgrid.ingest import load_dataset
+from trustgrid.propagation import PropagationConfig
 
 
 @pytest.fixture()
@@ -94,6 +94,40 @@ def test_synth_byte_identical_and_parseable(tmp_path, capsys):
     assert outs[0] == outs[1]
     r, t = tmp_path / "rx.txt", tmp_path / "tx.txt"
     assert main(["stats", "--ratings", str(r), "--trust", str(t)]) == 0
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--users", "0", "user and item counts must be positive"),
+    ("--items", "0", "user and item counts must be positive"),
+    ("--degree", "-1", "averages must be positive"),
+    ("--degree", "nan", "averages must be positive"),
+    ("--ratings-per-user", "0", "averages must be positive"),
+])
+def test_synth_out_of_range_is_usage_error(tmp_path, flag, value, message, caplog,
+                                           capsys):
+    r, t = tmp_path / "r.txt", tmp_path / "t.txt"
+    assert main(["synth", "--users", "5", "--items", "5", flag, value,
+                 "--out-ratings", str(r), "--out-trust", str(t)]) == 1
+    assert f"usage error: {message}" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not r.exists() and not t.exists()
+
+
+def test_trust_leave_one_out_prints_library_result(tmp_path, capsys):
+    trust = tmp_path / "t.txt"
+    # 0->2 and 1->3 can be re-inferred through 1 and 2; the other four cannot
+    trust.write_text("0 1 1\n1 2 1\n0 2 0.9\n2 3 1\n1 3 0.6\n3 4 1\n")
+    ds = load_dataset(None, str(trust))
+    for flags, sample in (([], None), (["--sample", "0.5", "--seed", "3"], 0.5)):
+        coverage, error = evaluation.leave_one_out_trust(
+            ds, PropagationConfig(), sample=sample, seed=3)
+        assert 0.0 < coverage < 1.0
+        argv = ["trust", "--trust", str(trust), "--leave-one-out", *flags]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert out == f"coverage={coverage:.4f} mae={error:.4f}\n"
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out
 
 
 def test_evaluate_report_deterministic(tmp_path, capsys):
@@ -190,15 +224,29 @@ def test_snapshot_with_other_settings_is_data_error(small_dataset, tmp_path,
     assert main(query + ["--lambda", "0.5"]) == 0
 
 
-def test_snapshot_without_config_loads(small_dataset, tmp_path, capsys):
-    _, trust = small_dataset
+@pytest.mark.parametrize("old, new", [
+    ("lambda=0.8 ", ""), ("threshold=0.7 ", ""),
+    ("lambda=0.8", "lambda=na"), ("threshold=0.7", "threshold=na"),
+], ids=["no-lambda", "no-threshold", "lambda-na", "threshold-na"])
+@pytest.mark.parametrize("command", ["trust", "recommend", "evaluate"])
+def test_snapshot_without_settings_is_data_error(small_dataset, tmp_path, command,
+                                                 old, new, caplog, capsys):
+    ratings, trust = small_dataset
     snap = tmp_path / "net.snap"
-    state = propagate(load_dataset(None, str(trust)), PropagationConfig(damping=0.5))
-    save_snapshot(state, snap)
-    assert "lambda=na threshold=na" in snap.read_text().splitlines()[0]
-    assert main(["trust", "--trust", str(trust), "--source", "0", "--target", "2",
-                 "--snapshot", str(snap)]) == 0
-    assert "origin=direct" in capsys.readouterr().out
+    assert main(["propagate", "--trust", str(trust), "--snapshot", str(snap)]) == 0
+    capsys.readouterr()
+    text = snap.read_text()
+    assert old in text.splitlines()[0]
+    snap.write_text(text.replace(old, new, 1))
+    argv = {
+        "trust": ["trust", "--source", "0", "--target", "2"],
+        "recommend": ["recommend", "--ratings", str(ratings), "--user", "0",
+                      "--item", "7"],
+        "evaluate": ["evaluate", "--ratings", str(ratings), "--method", "proposed"],
+    }[command]
+    assert main(argv + ["--trust", str(trust), "--snapshot", str(snap)]) == 2
+    assert f"line 1: {snap}: " in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_unconverged_state_warns_on_stderr_only(tmp_path, caplog, capsys):

@@ -67,13 +67,13 @@ def test_coverage_no_attempts():
 
 def test_delta_curve_threshold_zero_is_global():
     triples = [(2.0, 0.5, 1.9), (0.1, 0.2, 0.3)]
-    points = delta_curve(triples, [0.0, 1.0, 5.0])
-    assert points[0].n == 2
-    assert points[0].mean_delta_r == approx(0.35)
-    assert points[1].n == 1
-    assert points[1].mean_delta_r == approx(0.5)
-    assert points[1].mean_delta_cf == approx(1.9)
-    assert points[2].n == 0 and points[2].mean_delta_r is None
+    points = {p.min_delta_a: p for p in delta_curve(triples)}
+    assert points[0.0].n == 2
+    assert points[0.0].mean_delta_r == approx(0.35)
+    assert points[1.0].n == 1
+    assert points[1.0].mean_delta_r == approx(0.5)
+    assert points[1.0].mean_delta_cf == approx(1.9)
+    assert points[3.0].n == 0 and points[3.0].mean_delta_r is None
 
 
 def test_delta_curve_nested_counts():
@@ -127,7 +127,7 @@ def test_sampling_deterministic():
 def test_report_histogram_sums_to_attempts():
     ds = generate_synthetic(SyntheticSpec(n_users=120, n_items=150, rng_seed=9))
     results = evaluate_ratings(ds, "tidal", sample=0.2, seed=1)
-    report = build_report(results, "tidal", "all", ds)
+    report = build_report(results, "tidal", "all")
     assert sum(report.depth_histogram.values()) == report.n_attempted
     assert report.n_attempted == len(results)
 
@@ -352,10 +352,10 @@ def test_view_filter_keeps_records_and_reports(view_graph, method, sample, jobs)
     for view in VIEW_NAMES:
         results = evaluate_ratings(ds, method, sample=sample, seed=4, state=state,
                                    jobs=jobs, view=view)
-        keep = predicates[view]
-        assert results == [r for r in everything if keep(r.user, r.item)]
-        assert (build_report(results, method, view, ds).to_dict()
-                == build_report(everything, method, view, ds).to_dict())
+        in_view = [r for r in everything if predicates[view](r.user, r.item)]
+        assert results == in_view
+        assert (build_report(results, method, view).to_dict()
+                == build_report(in_view, method, view).to_dict())
 
 
 def test_view_filter_predicts_only_records_in_view(view_graph, monkeypatch):

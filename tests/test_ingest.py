@@ -83,6 +83,9 @@ def test_synthetic_spec_validation():
         SyntheticSpec(avg_out_degree=-1)
     with pytest.raises(ValueError):
         SyntheticSpec(trust_value_mode="nope")
+    for field in ("avg_out_degree", "avg_ratings_per_user"):
+        with pytest.raises(ValueError, match="averages must be positive"):
+            SyntheticSpec(**{field: float("nan")})
 
 
 def test_synthetic_degree_close_to_spec():
@@ -130,14 +133,20 @@ def test_snapshot_round_trip_init_state(tmp_path):
     ds = Dataset([], [(0, 1, -0.3)])
     state = init_network(ds)
     path = tmp_path / "init.snap"
-    save_snapshot(state, path)
-    loaded = load_snapshot(path, ds, PropagationConfig(max_rounds=0))
+    config = PropagationConfig(max_rounds=0)
+    save_snapshot(state, path, config)
+    loaded = load_snapshot(path, ds, config)
     assert loaded == state
     assert all(hops == 1 for t in loaded.tables.values()
                for _, hops in t.values())
     entry_lines = [line for line in path.read_text().splitlines()[1:]
                    if not line.startswith("node ")]
     assert [line.split()[3] for line in entry_lines] == ["direct"]
+
+
+# the damping and storage threshold of PropagationConfig(), which the headers
+# of the hand-written snapshots below record
+SETTINGS = "lambda=0.8 threshold=0.7"
 
 
 def test_snapshot_unknown_version(tmp_path):
@@ -172,7 +181,7 @@ def test_snapshot_not_a_snapshot(tmp_path):
 ])
 def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
     path = tmp_path / "bad.snap"
-    path.write_text("trustgrid-snapshot v1 round=1\n"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=0\n"
                     "# comment\nnode 0\n0 1 1.0 direct 1\n0 2 0.9 inferred 2\n"
                     + bad_line + "\n")
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
@@ -182,11 +191,15 @@ def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
 
 @pytest.mark.parametrize("field", [
     "round=x", "converged=x", "converged=7", "lambda=abc", "threshold=x",
+    "lambda=na", "threshold=na",
 ])
 def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
     path = tmp_path / "bad.snap"
-    path.write_text(f"trustgrid-snapshot v1 {field}\nnode 0\n")
     key, value = field.split("=")
+    fields = {"round": "0", "converged": "0", "lambda": "0.8", "threshold": "0.7",
+              key: value}
+    header = " ".join(f"{k}={v}" for k, v in fields.items())
+    path.write_text(f"trustgrid-snapshot v1 {header}\nnode 0\n")
     with pytest.raises(ParseError, match=f"^line 1: .*{key}='{value}'"):
         load_snapshot(path, Dataset(), PropagationConfig())
 
@@ -194,7 +207,8 @@ def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
 @pytest.mark.parametrize("entry", ["0 9 0.8 inferred 2", "9 0 0.8 inferred 2"])
 def test_snapshot_entry_of_user_outside_dataset_is_stale(tmp_path, entry):
     path = tmp_path / "net.snap"
-    path.write_text("trustgrid-snapshot v1 round=0\n0 1 1.0 direct 1\n"
+    path.write_text(f"trustgrid-snapshot v1 round=0 {SETTINGS} converged=0\n"
+                    "0 1 1.0 direct 1\n"
                     + entry + "\n")
     ds = Dataset([], [(0, 1, 1.0)])
     with pytest.raises(StaleSnapshotError, match="user 9 "):
@@ -204,7 +218,7 @@ def test_snapshot_entry_of_user_outside_dataset_is_stale(tmp_path, entry):
 @pytest.mark.parametrize("trust", ["0.1", "0.0"])
 def test_snapshot_inferred_entry_below_threshold_is_stale(tmp_path, trust):
     path = tmp_path / "net.snap"
-    path.write_text("trustgrid-snapshot v1 round=1 threshold=0.7\n"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=0\n"
                     f"0 1 1.0 direct 1\n1 2 1.0 direct 1\n0 2 {trust} inferred 2\n")
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(StaleSnapshotError, match="line 4: .*threshold=0.7"):
@@ -213,7 +227,7 @@ def test_snapshot_inferred_entry_below_threshold_is_stale(tmp_path, trust):
 
 def test_snapshot_negative_inferred_entry_loads(tmp_path):
     path = tmp_path / "net.snap"
-    path.write_text("trustgrid-snapshot v1 round=1 threshold=0.7\n"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=0\n"
                     "0 1 1.0 direct 1\n1 2 -1.0 direct 1\n0 2 -0.8 inferred 2\n")
     ds = Dataset([], [(0, 1, 1.0), (1, 2, -1.0)])
     state = load_snapshot(path, ds, PropagationConfig(max_rounds=1))
@@ -226,6 +240,17 @@ def test_snapshot_negative_inferred_entry_loads(tmp_path):
 ])
 def test_snapshot_round_no_run_reaches_is_stale(tmp_path, header):
     path = tmp_path / "net.snap"
-    path.write_text(f"trustgrid-snapshot v1 {header}\n")
+    path.write_text(f"trustgrid-snapshot v1 {header} {SETTINGS}\n")
     with pytest.raises(StaleSnapshotError, match="max_rounds=3"):
         load_snapshot(path, Dataset(), PropagationConfig(max_rounds=3))
+
+
+@pytest.mark.parametrize("key", ["round", "converged", "lambda", "threshold"])
+def test_snapshot_header_without_field_is_line_1(tmp_path, key):
+    fields = {"round": "0", "converged": "0", "lambda": "0.8", "threshold": "0.7"}
+    del fields[key]
+    header = " ".join(f"{k}={v}" for k, v in fields.items())
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 {header}\n")
+    with pytest.raises(ParseError, match=f"^line 1: .*header lacks {key}="):
+        load_snapshot(path, Dataset(), PropagationConfig(max_rounds=0))
