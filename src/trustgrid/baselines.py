@@ -234,13 +234,13 @@ def mole_trust_scores(source: int, dataset: Dataset,
 
 
 def mole_trust_predict(a: int, item: int, weights: dict[int, float],
-                       dataset: Dataset, exclude_item: int | None = None) -> float | None:
+                       dataset: Dataset) -> float | None:
     """Mean-centered weighted prediction of user a's rating on `item`.
 
     weights maps neighbor user -> positive weight (trust score or similarity).
-    `exclude_item` is dropped from a's own profile before computing the mean
-    (leave-one-out support). None when no weighted user rated the item or a's
-    mean is undefined. Result clamped to the rating scale.
+    a's own rating of `item`, if any, is left out: a's mean is taken over its
+    other items, and a never contributes. None when no weighted user rated
+    the item or a rated nothing else. Result clamped to the rating scale.
     """
     raters = dataset.item_raters(item)
     contributors = [(u, weights[u]) for u in sorted(raters)
@@ -248,7 +248,7 @@ def mole_trust_predict(a: int, item: int, weights: dict[int, float],
     if not contributors:
         return None
     try:
-        a_mean = dataset.mean_rating(a, exclude_item=exclude_item)
+        a_mean = dataset.mean_rating(a, exclude_item=item)
     except NoRatingsError:
         return None
     num = sum(w * (raters[u] - dataset.mean_rating(u)) for u, w in contributors)
@@ -258,13 +258,13 @@ def mole_trust_predict(a: int, item: int, weights: dict[int, float],
     return min(RATING_MAX, max(RATING_MIN, a_mean + num / den))
 
 
-def pearson_similarity(u: int, v: int, dataset: Dataset,
-                       exclude_item: int | None = None) -> float | None:
-    """Pearson correlation over co-rated items; None below 2 overlapping items
-    or when either user's overlap ratings have zero variance."""
+def pearson_similarity(u: int, v: int, item: int, dataset: Dataset) -> float | None:
+    """Pearson correlation over the items both users rated other than
+    `item`, the one being predicted; None below 2 such items or when either
+    user's ratings of them have zero variance."""
     pu = dataset.user_ratings(u)
     pv = dataset.user_ratings(v)
-    common = [i for i in pu if i in pv and i != exclude_item]
+    common = [i for i in pu if i in pv and i != item]
     if len(common) < 2:
         return None
     mu = sum(pu[i] for i in common) / len(common)
@@ -290,37 +290,35 @@ def co_rating_counts(a: int, dataset: Dataset) -> dict[int, int]:
 
 
 def correlation_cf_predict(a: int, item: int, dataset: Dataset,
-                           exclude_item: int | None = None,
                            co_ratings: dict[int, int] | None = None) -> float | None:
     """Correlation-based CF: mean-centered prediction weighted by positive
-    Pearson similarity between a and the item's raters.
+    Pearson similarity between a and the item's raters, without a's rating
+    of `item`.
 
     `co_ratings` is a's `co_rating_counts`, computed here when not given; a
     caller predicting several items for one user passes them in. A rater
-    left with fewer than two co-rated items once `exclude_item` is dropped
-    has no Pearson similarity, so it is skipped without computing one.
+    with fewer than two co-rated items besides `item` (which it rated) has
+    no Pearson similarity, so it is skipped without computing one.
     """
     if co_ratings is None:
         co_ratings = co_rating_counts(a, dataset)
-    profile = dataset.user_ratings(a)
-    dropped = dataset.item_raters(exclude_item) if exclude_item in profile else {}
+    held_out = item in dataset.user_ratings(a)
     weights = {}
     for u in dataset.item_raters(item):
-        if u == a or co_ratings.get(u, 0) - (u in dropped) < 2:
+        if u == a or co_ratings.get(u, 0) - held_out < 2:
             continue
-        sim = pearson_similarity(a, u, dataset, exclude_item=exclude_item)
+        sim = pearson_similarity(a, u, item, dataset)
         if sim is not None and sim > 0.0:
             weights[u] = sim
     if not weights:
         return None
-    return mole_trust_predict(a, item, weights, dataset, exclude_item=exclude_item)
+    return mole_trust_predict(a, item, weights, dataset)
 
 
-def simple_average(item: int, dataset: Dataset,
-                   exclude: int | None = None) -> float | None:
-    """Plain mean of the item's ratings, optionally excluding one rater."""
+def simple_average(user: int, item: int, dataset: Dataset) -> float | None:
+    """Plain mean of the item's ratings by raters other than `user`."""
     raters = dataset.item_raters(item)
-    values = [v for u, v in raters.items() if u != exclude]
+    values = [v for u, v in raters.items() if u != user]
     if not values:
         return None
     return sum(values) / len(values)

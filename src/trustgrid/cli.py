@@ -331,7 +331,7 @@ def _cmd_evaluate(args):
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
     report = evaluation.leave_one_out_ratings(
-        dataset, args.method, config, sample=args.sample, seed=args.seed,
+        dataset, args.method, sample=args.sample, seed=args.seed,
         view=args.view, horizon=args.horizon, state=state, jobs=args.jobs)
 
     def fmt(x):

@@ -186,18 +186,16 @@ def _predictor(dataset, state, method, horizon, user):
         weights = {u: s for u, s in scores.items() if s > 0.0}
 
         def predict(item):
-            return baselines.mole_trust_predict(
-                user, item, weights, dataset, exclude_item=item), None, None
+            return baselines.mole_trust_predict(user, item, weights, dataset), None, None
     elif method == "avg":
         def predict(item):
-            return baselines.simple_average(item, dataset, exclude=user), None, None
+            return baselines.simple_average(user, item, dataset), None, None
     elif method == "cf":
         co_ratings = baselines.co_rating_counts(user, dataset)
 
         def predict(item):
             return baselines.correlation_cf_predict(
-                user, item, dataset, exclude_item=item,
-                co_ratings=co_ratings), None, None
+                user, item, dataset, co_ratings=co_ratings), None, None
     else:
         raise UnknownMethodError(f"unknown method {method!r}")
     return predict
@@ -219,7 +217,7 @@ def _evaluate_user(dataset, state, method, horizon, user, records):
         if method == "avg":
             avg = predicted
         else:
-            avg = baselines.simple_average(item, dataset, exclude=user)
+            avg = baselines.simple_average(user, item, dataset)
         if method == "cf":
             cf = predicted
         else:
@@ -260,8 +258,7 @@ def sample_ratings(dataset: Dataset, fraction: float | None, seed: int):
     return _sample(dataset.rating_list(), fraction, seed)
 
 
-def evaluate_ratings(dataset: Dataset, method: str,
-                     config: PropagationConfig | None = None, *,
+def evaluate_ratings(dataset: Dataset, method: str, *,
                      sample: float | None = None, seed: int = 0,
                      view: str = "all",
                      horizon: int = baselines.DEFAULT_HORIZON,
@@ -273,8 +270,9 @@ def evaluate_ratings(dataset: Dataset, method: str,
     ratings, then only its records in `view` (by `view_predicates`, built
     once; ValueError for an unknown view) are predicted and returned, so a
     view's results are the full sample's results filtered by the view.
-    For `proposed`, propagation runs once on the full trust graph (hiding a
-    rating leaves trust edges untouched); a precomputed `state` skips it.
+    For `proposed`, propagation runs once, with the default settings, on the
+    full trust graph (hiding a rating leaves trust edges untouched); a
+    precomputed `state` skips it.
     The records come sorted by user and are evaluated one user at a time
     (`_evaluate_user`), so a user's TidalTrust search, MoleTrust weights and
     CF co-rating counts are built once; with `jobs` > 1 each worker gets
@@ -287,7 +285,7 @@ def evaluate_ratings(dataset: Dataset, method: str,
         raise ValueError(f"unknown view {view!r}")
     keep = predicates[view]
     if method == "proposed" and state is None:
-        state = propagate(dataset, config or PropagationConfig())
+        state = propagate(dataset)
     records = ((u, i, v) for u, i, v in sample_ratings(dataset, sample, seed)
                if keep(u, i))
     groups = [(user, [(i, v) for _, i, v in rows])
@@ -343,15 +341,14 @@ def build_report(results, method: str, view: str) -> EvalReport:
     )
 
 
-def leave_one_out_ratings(dataset: Dataset, method: str,
-                          config: PropagationConfig | None = None, *,
+def leave_one_out_ratings(dataset: Dataset, method: str, *,
                           sample: float | None = None, seed: int = 0,
                           view: str = "all",
                           horizon: int = baselines.DEFAULT_HORIZON,
                           state: NetworkState | None = None,
                           jobs: int = 1) -> EvalReport:
     """Leave-one-out evaluation of one method, reported for one view."""
-    results = evaluate_ratings(dataset, method, config, sample=sample, seed=seed,
+    results = evaluate_ratings(dataset, method, sample=sample, seed=seed,
                                view=view, horizon=horizon, state=state, jobs=jobs)
     return build_report(results, method, view)
 

@@ -253,25 +253,29 @@ def _flag(text: str) -> bool:
 
 
 def _read_header(fh, path) -> dict:
-    """A snapshot's first line: `round` as an int, `converged` as a bool,
-    `lambda` and `threshold` as floats. A missing or malformed field is a
+    """A snapshot's first line: magic, version, then `round` (an int),
+    `converged` (a bool), `lambda` and `threshold` (floats), each once as
+    key=value; a missing, repeated, malformed or unknown token is a
     ParseError on line 1."""
     header = fh.readline().split()
     if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
         raise VersionError(f"{path}: not a trustgrid snapshot")
     if header[1] != SNAPSHOT_VERSION:
         raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
-    meta = dict(tok.split("=", 1) for tok in header[2:] if "=" in tok)
+    kinds = {"round": int, "converged": _flag, "lambda": float, "threshold": float}
     fields = {}
-    for key, kind in (("round", int), ("converged", _flag),
-                      ("lambda", float), ("threshold", float)):
-        if key not in meta:
-            raise ParseError(1, f"{path}: header lacks {key}=")
+    for token in header[2:]:
+        key, sep, text = token.partition("=")
+        if not sep or key not in kinds or key in fields:
+            raise ParseError(1, f"{path}: unknown or repeated header token {token!r}")
         try:
-            fields[key] = kind(meta[key])
+            fields[key] = kinds[key](text)
         except ValueError:
             raise ParseError(1, f"{path}: malformed header field "
-                                f"{key}={meta[key]!r}") from None
+                                f"{key}={text!r}") from None
+    for key in kinds:
+        if key not in fields:
+            raise ParseError(1, f"{path}: header lacks {key}=")
     return fields
 
 

@@ -194,7 +194,7 @@ def test_criterion_6_coverage_direction(capsys):
     state = propagate(ds, config)
 
     def run(method):
-        results = evaluate_ratings(ds, method, config, state=state)
+        results = evaluate_ratings(ds, method, state=state)
         report = build_report(results, method, "all")
         return report.ratings_coverage, report.mae
 

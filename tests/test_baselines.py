@@ -362,24 +362,25 @@ def test_mole_predict_clamped():
     assert mole_trust_predict(0, 5, {9: 1.0}, ds) == 5.0
 
 
+# item 9, the one predicted, is rated by neither user in the pearson cases
 def test_pearson_identical_profiles():
     ds = Dataset([(0, 1, 1), (0, 2, 5), (1, 1, 1), (1, 2, 5)])
-    assert pearson_similarity(0, 1, ds) == approx(1.0)
+    assert pearson_similarity(0, 1, 9, ds) == approx(1.0)
 
 
 def test_pearson_anticorrelated():
     ds = Dataset([(0, 1, 1), (0, 2, 5), (1, 1, 5), (1, 2, 1)])
-    assert pearson_similarity(0, 1, ds) == approx(-1.0)
+    assert pearson_similarity(0, 1, 9, ds) == approx(-1.0)
 
 
 def test_pearson_single_overlap():
     ds = Dataset([(0, 1, 3), (1, 1, 3), (1, 2, 4)])
-    assert pearson_similarity(0, 1, ds) is None
+    assert pearson_similarity(0, 1, 9, ds) is None
 
 
 def test_pearson_zero_variance():
     ds = Dataset([(0, 1, 3), (0, 2, 3), (1, 1, 1), (1, 2, 5)])
-    assert pearson_similarity(0, 1, ds) is None
+    assert pearson_similarity(0, 1, 9, ds) is None
 
 
 def test_pearson_symmetric():
@@ -389,26 +390,27 @@ def test_pearson_symmetric():
                    for u in (0, 1) for i in range(6) if rng.random() < 0.8]
         ds = Dataset(ratings)
         if 0 in ds.users and 1 in ds.users:
-            assert pearson_similarity(0, 1, ds) == pearson_similarity(1, 0, ds)
+            for item in range(7):
+                assert (pearson_similarity(0, 1, item, ds)
+                        == pearson_similarity(1, 0, item, ds))
 
 
-def _cf_reference(a, item, ds, exclude_item):
+def _cf_reference(a, item, ds):
     """Correlation CF by its definition: a Pearson similarity for every rater."""
     weights = {}
     for u in ds.item_raters(item):
         if u != a:
-            sim = pearson_similarity(a, u, ds, exclude_item=exclude_item)
+            sim = pearson_similarity(a, u, item, ds)
             if sim is not None and sim > 0.0:
                 weights[u] = sim
     if not weights:
         return None
-    return mole_trust_predict(a, item, weights, ds, exclude_item=exclude_item)
+    return mole_trust_predict(a, item, weights, ds)
 
 
 def _cf_cases(seed):
-    """(dataset, user, item, exclude_item) on random rating sets, with
-    exclude_item None, the item, another item the user rated, and an item the
-    user did not rate."""
+    """(dataset, user, item) on random rating sets, for every user and item,
+    so items the user rated and items it did not."""
     rng = random.Random(seed)
     for _ in range(25):
         n_users, n_items = rng.randint(3, 10), rng.randint(3, 8)
@@ -417,23 +419,17 @@ def _cf_cases(seed):
                    for i in range(n_items) if rng.random() < density]
         ds = Dataset(ratings)
         for a in sorted(ds.users):
-            rated = sorted(ds.user_ratings(a))
-            unrated = sorted(ds.items - set(rated))
             for item in sorted(ds.items):
-                others = [i for i in rated if i != item]
-                for exclude in (None, item, rng.choice(others) if others else None,
-                                rng.choice(unrated) if unrated else None):
-                    yield ds, a, item, exclude
+                yield ds, a, item
 
 
 def test_cf_matches_definition_with_and_without_counts():
     predicted = 0
-    for ds, a, item, exclude in _cf_cases(seed=31):
-        want = _cf_reference(a, item, ds, exclude)
-        assert correlation_cf_predict(a, item, ds, exclude_item=exclude) == want
+    for ds, a, item in _cf_cases(seed=31):
+        want = _cf_reference(a, item, ds)
+        assert correlation_cf_predict(a, item, ds) == want
         counts = co_rating_counts(a, ds)
-        assert correlation_cf_predict(a, item, ds, exclude_item=exclude,
-                                      co_ratings=counts) == want
+        assert correlation_cf_predict(a, item, ds, co_ratings=counts) == want
         predicted += want is not None
     assert predicted > 100
 
@@ -448,30 +444,31 @@ def test_cf_computes_similarity_only_with_two_co_ratings(monkeypatch):
     pairs = []
     original = baselines.pearson_similarity
 
-    def counting(u, v, dataset, exclude_item=None):
+    def counting(u, v, item, dataset):
         pu, pv = dataset.user_ratings(u), dataset.user_ratings(v)
-        pairs.append(sum(1 for i in pu if i in pv and i != exclude_item))
-        return original(u, v, dataset, exclude_item=exclude_item)
+        pairs.append(sum(1 for i in pu if i in pv and i != item))
+        return original(u, v, item, dataset)
 
     monkeypatch.setattr(baselines, "pearson_similarity", counting)
-    for ds, a, item, exclude in _cf_cases(seed=32):
-        correlation_cf_predict(a, item, ds, exclude_item=exclude)
+    for ds, a, item in _cf_cases(seed=32):
+        correlation_cf_predict(a, item, ds)
     assert pairs and min(pairs) >= 2
 
 
+# user 9, for whom the average is predicted, did not rate item 7
 def test_simple_average():
-    ds = Dataset([(0, 7, 4), (1, 7, 2)])
-    assert simple_average(7, ds) == approx(3.0)
+    ds = Dataset([(0, 7, 4), (1, 7, 2)], users=[9])
+    assert simple_average(9, 7, ds) == approx(3.0)
 
 
 def test_simple_average_exclude_only_rater():
     ds = Dataset([(0, 7, 4)])
-    assert simple_average(7, ds, exclude=0) is None
+    assert simple_average(0, 7, ds) is None
 
 
 def test_simple_average_consensus():
-    ds = Dataset([(0, 7, 5), (1, 7, 5), (2, 7, 5)])
-    assert simple_average(7, ds) == 5.0
+    ds = Dataset([(0, 7, 5), (1, 7, 5), (2, 7, 5)], users=[9])
+    assert simple_average(9, 7, ds) == 5.0
 
 
 def test_predictions_stay_in_rating_range():
@@ -487,7 +484,7 @@ def test_predictions_stay_in_rating_range():
             res = tidal_trust_recommend(0, item, ds)
             if res.predicted is not None:
                 assert 1.0 <= res.predicted <= 5.0
-            avg = simple_average(item, ds, exclude=0)
+            avg = simple_average(0, item, ds)
             if avg is not None:
                 assert 1.0 <= avg <= 5.0
             scores = mole_trust_scores(0, ds)

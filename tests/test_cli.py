@@ -175,12 +175,11 @@ def _baseline_recommend_line(method, user, item, ds):
     elif method == "mole":
         scores = baselines.mole_trust_scores(user, ds)
         weights = {u: s for u, s in scores.items() if s > 0.0}
-        predicted = baselines.mole_trust_predict(user, item, weights, ds,
-                                                 exclude_item=item)
+        predicted = baselines.mole_trust_predict(user, item, weights, ds)
     elif method == "cf":
-        predicted = baselines.correlation_cf_predict(user, item, ds, exclude_item=item)
+        predicted = baselines.correlation_cf_predict(user, item, ds)
     else:
-        predicted = baselines.simple_average(item, ds, exclude=user)
+        predicted = baselines.simple_average(user, item, ds)
     if predicted is None:
         return "no prediction"
     if depth is None:
@@ -227,7 +226,11 @@ def test_snapshot_with_other_settings_is_data_error(small_dataset, tmp_path,
 @pytest.mark.parametrize("old, new", [
     ("lambda=0.8 ", ""), ("threshold=0.7 ", ""),
     ("lambda=0.8", "lambda=na"), ("threshold=0.7", "threshold=na"),
-], ids=["no-lambda", "no-threshold", "lambda-na", "threshold-na"])
+    # the last lambda is this run's, so a header read last-wins would load
+    ("lambda=0.8", "lambda=0.5 lambda=0.8"),
+    ("lambda=0.8", "lambda=0.8 junk"), ("lambda=0.8", "lambda=0.8 tol=0.5"),
+], ids=["no-lambda", "no-threshold", "lambda-na", "threshold-na",
+        "repeated-lambda", "junk-token", "unknown-key"])
 @pytest.mark.parametrize("command", ["trust", "recommend", "evaluate"])
 def test_snapshot_without_settings_is_data_error(small_dataset, tmp_path, command,
                                                  old, new, caplog, capsys):

@@ -1,5 +1,6 @@
 import ast
 import os
+import random
 
 import pytest
 from pytest import approx
@@ -14,6 +15,7 @@ from trustgrid.evaluation import (METHODS, VIEW_NAMES, EmptyInputError,
 from trustgrid.ingest import SyntheticSpec, generate_synthetic
 from trustgrid.model import Dataset
 from trustgrid.propagation import PropagationConfig, propagate
+from trustgrid.recommender import recommend
 
 
 def result(user, predicted, actual=3, depth=None, item=0):
@@ -90,7 +92,7 @@ def test_unknown_method():
 
 def test_loo_proposed_exact_neighbor():
     ds = Dataset([(0, 7, 4), (1, 7, 4)], [(0, 1, 1.0)])
-    results = evaluate_ratings(ds, "proposed", PropagationConfig())
+    results = evaluate_ratings(ds, "proposed")
     row = next(r for r in results if r.user == 0)
     assert row.predicted == approx(4.0)
     assert row.depth == 1
@@ -191,8 +193,7 @@ def test_mole_scores_computed_once_per_user(monkeypatch):
     for user, item, _ in records:
         scores = baselines.mole_trust_scores(user, ds)
         weights = {u: s for u, s in scores.items() if s > 0.0}
-        expected.append(baselines.mole_trust_predict(user, item, weights, ds,
-                                                     exclude_item=item))
+        expected.append(baselines.mole_trust_predict(user, item, weights, ds))
     scored = []
     original = baselines.mole_trust_scores
 
@@ -289,13 +290,12 @@ def test_delta_baselines_run_for_hits_only(monkeypatch):
     calls = []
     original = baselines.correlation_cf_predict
 
-    def counting(a, item, dataset, exclude_item=None, co_ratings=None):
+    def counting(a, item, dataset, co_ratings=None):
         calls.append((a, item))
-        return original(a, item, dataset, exclude_item=exclude_item,
-                        co_ratings=co_ratings)
+        return original(a, item, dataset, co_ratings=co_ratings)
 
     monkeypatch.setattr(baselines, "correlation_cf_predict", counting)
-    results = evaluate_ratings(ds, "proposed", PropagationConfig(), sample=0.3, seed=3)
+    results = evaluate_ratings(ds, "proposed", sample=0.3, seed=3)
     hits = [(r.user, r.item) for r in results if r.predicted is not None]
     assert 0 < len(hits) < len(results)
     assert calls == hits
@@ -379,3 +379,53 @@ def test_view_filter_predicts_only_records_in_view(view_graph, monkeypatch):
 def test_evaluate_unknown_view_raises():
     with pytest.raises(ValueError, match="unknown view"):
         evaluate_ratings(Dataset([(0, 7, 4)]), "avg", view="nosuch")
+
+
+def _with_rating(ds, user, item, value):
+    """`ds` rebuilt with user's rating of item set to value."""
+    ratings = [(u, i, value if (u, i) == (user, item) else v)
+               for u, i, v in ds.rating_list()]
+    return Dataset(ratings, ds.trust_edge_list(), users=ds.users, items=ds.items)
+
+
+def _library_prediction(method, state, user, item, ds):
+    """What the method's public function predicts, called with its defaults."""
+    if method == "proposed":
+        rec = recommend(state, user, item, ds)
+        return rec and (rec.predicted, rec.confidence, rec.rating_recall)
+    if method == "tidal":
+        return baselines.tidal_trust_recommend(user, item, ds).predicted
+    if method == "mole":
+        scores = baselines.mole_trust_scores(user, ds)
+        weights = {u: s for u, s in scores.items() if s > 0.0}
+        return baselines.mole_trust_predict(user, item, weights, ds)
+    if method == "cf":
+        return baselines.correlation_cf_predict(user, item, ds)
+    return baselines.simple_average(user, item, ds)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_no_predictor_sees_the_rating_it_predicts(method):
+    ds = generate_synthetic(SyntheticSpec(n_users=60, n_items=60, rng_seed=8))
+    state = propagate(ds)  # reads only trust, which the rebuilt datasets keep
+    records = [(u, i, v) for u, i, v in ds.rating_list()
+               if len(ds.item_raters(i)) > 1]
+    random.Random(1).shuffle(records)
+    horizon = baselines.DEFAULT_HORIZON
+    hits, misses = [], []
+    for user, item, actual in records:
+        got = evaluation._predictor(ds, state, method, horizon, user)(item)
+        bucket = hits if got[0] is not None else misses
+        if len(bucket) < 8:
+            bucket.append((user, item, actual, got))
+    assert len(hits) == 8
+    for user, item, actual, got in hits + misses:
+        library = _library_prediction(method, state, user, item, ds)
+        assert (library is None) == (got[0] is None)
+        for value in range(1, 6):
+            if value == actual:
+                continue
+            changed = _with_rating(ds, user, item, value)
+            assert evaluation._predictor(changed, state, method, horizon,
+                                         user)(item) == got
+            assert _library_prediction(method, state, user, item, changed) == library

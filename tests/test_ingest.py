@@ -254,3 +254,18 @@ def test_snapshot_header_without_field_is_line_1(tmp_path, key):
     path.write_text(f"trustgrid-snapshot v1 {header}\n")
     with pytest.raises(ParseError, match=f"^line 1: .*header lacks {key}="):
         load_snapshot(path, Dataset(), PropagationConfig(max_rounds=0))
+
+
+@pytest.mark.parametrize("extra", [
+    "lambda=0.8",   # repeats a field, with the value this run uses
+    "round=0",      # repeats a field, with the same value
+    "junk",         # a token without =
+    "lambda",       # a field name without =
+    "tol=0.5",      # a key no snapshot records
+    "=0.8",         # an empty key
+])
+def test_snapshot_header_extra_token_is_line_1(tmp_path, extra):
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 round=0 {SETTINGS} converged=0 {extra}\n")
+    with pytest.raises(ParseError, match=f"^line 1: .*header token '{extra}'"):
+        load_snapshot(path, Dataset(), PropagationConfig(max_rounds=0))
