@@ -124,8 +124,9 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=int)
     p.add_argument("--leave-one-out", action="store_true",
                    help="hide each trust edge and try to re-infer it")
+    # no argparse default, so _cmd_trust can tell whether they were given
     p.add_argument("--sample", type=fraction, help="edge sample fraction")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
 
     p = sub.add_parser("evaluate", help="leave-one-out evaluation of a method")
     _add_input_flags(p, ratings_required=True, trust_required=True)
@@ -301,18 +302,24 @@ def _cmd_recommend(args):
 
 def _cmd_trust(args):
     config = _config_from_args(args)
+    # each mode reads flags the other would silently ignore
+    mode, ignored = (("--leave-one-out", ("snapshot", "source", "target"))
+                     if args.leave_one_out else ("a trust query", ("sample", "seed")))
+    for flag in ignored:
+        if getattr(args, flag) is not None:
+            raise _UsageError(f"{mode} takes no --{flag}")
+    if not args.leave_one_out and (args.source is None or args.target is None):
+        raise _UsageError("trust query needs --source and --target")
     dataset = _load(args)
     if args.leave_one_out:
-        for flag in ("snapshot", "source", "target"):
-            if getattr(args, flag) is not None:
-                raise _UsageError(f"--leave-one-out takes no --{flag}")
         coverage, error = evaluation.leave_one_out_trust(
-            dataset, config, sample=args.sample, seed=args.seed)
+            dataset, config, sample=args.sample, seed=args.seed or 0)
         print(f"coverage={'na' if coverage is None else f'{coverage:.4f}'} "
               f"mae={'na' if error is None else f'{error:.4f}'}")
         return EXIT_OK
-    if args.source is None or args.target is None:
-        raise _UsageError("trust query needs --source and --target")
+    # before propagating, which may take seconds and write --snapshot
+    dataset._check_user(args.source)
+    dataset._check_user(args.target)
     state = _network_state(args, dataset, config)
     result = query_trust(state, args.source, args.target)
     if result is None:

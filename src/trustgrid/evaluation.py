@@ -275,8 +275,9 @@ def evaluate_ratings(dataset: Dataset, method: str, *,
     precomputed `state` skips it.
     The records come sorted by user and are evaluated one user at a time
     (`_evaluate_user`), so a user's TidalTrust search, MoleTrust weights and
-    CF co-rating counts are built once; with `jobs` > 1 each worker gets
-    whole users. Results keep the order of the records.
+    CF co-rating counts are built once; with `jobs` > 1 up to `jobs`
+    workers, never more than the users, get whole users. Results keep the
+    order of the records.
     """
     if method not in METHODS:
         raise UnknownMethodError(f"unknown method {method!r}")
@@ -290,10 +291,12 @@ def evaluate_ratings(dataset: Dataset, method: str, *,
                if keep(u, i))
     groups = [(user, [(i, v) for _, i, v in rows])
               for user, rows in groupby(records, key=itemgetter(0))]
-    if jobs > 1:
+    # a fork pool starts all its workers at once, needed or not
+    workers = min(jobs, len(groups))
+    if workers > 1:
         import multiprocessing
         ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
+        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                  initializer=_init_worker,
                                  initargs=(dataset, state, method, horizon)) as pool:
             per_user = list(pool.map(_worker_task, groups, chunksize=16))

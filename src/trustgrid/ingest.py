@@ -1,17 +1,20 @@
 """File ingestion, synthetic dataset generation, and trust-table snapshots.
 
 Rating and trust files are whitespace-delimited text, one record per line,
-with `#` comment lines allowed (the layout of the public Epinions dumps).
+with `#` comment lines allowed (the layout of the public Epinions dumps);
+one reader parses both.
 Snapshots persist a propagated network state as versioned text so expensive
 propagation runs can be cached and reloaded bit-exactly; each header records
 the damping, storage threshold, round and convergence it was built with, and
-a run reuses it only when they fit.
+a run reuses it only when they fit and each loaded table's direct entries
+equal its user's trust edges.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .model import (Dataset, RATING_MAX, RATING_MIN, TrustgridError,
@@ -47,42 +50,34 @@ def _data_lines(stream, start=1):
         yield line_no, line
 
 
-def parse_ratings(stream) -> list[tuple[int, int, int]]:
-    """Parse `user item rating` lines into (user, item, value) tuples."""
+def _parse(stream, cast, check, bad_field):
+    """`id id value` lines as (int, int, cast(value)) tuples that `check`
+    accepts; a ParseError names the first bad line."""
     records = []
     for line_no, line in _data_lines(stream):
         fields = line.split()
         if len(fields) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
         try:
-            user, item, value = int(fields[0]), int(fields[1]), int(fields[2])
+            record = int(fields[0]), int(fields[1]), cast(fields[2])
         except ValueError:
-            raise ParseError(line_no, f"non-integer field in {line!r}") from None
+            raise ParseError(line_no, f"{bad_field} field in {line!r}") from None
         try:
-            check_rating(user, item, value)
+            check(*record)
         except ValueError as exc:
             raise ParseError(line_no, str(exc)) from None
-        records.append((user, item, value))
+        records.append(record)
     return records
+
+
+def parse_ratings(stream) -> list[tuple[int, int, int]]:
+    """Parse `user item rating` lines into (user, item, value) tuples."""
+    return _parse(stream, int, check_rating, "non-integer")
 
 
 def parse_trust(stream) -> list[tuple[int, int, float]]:
     """Parse `source target trust` lines into (source, target, value) tuples."""
-    records = []
-    for line_no, line in _data_lines(stream):
-        fields = line.split()
-        if len(fields) != 3:
-            raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
-        try:
-            source, target, value = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise ParseError(line_no, f"malformed field in {line!r}") from None
-        try:
-            check_trust_edge(source, target, value)
-        except ValueError as exc:
-            raise ParseError(line_no, str(exc)) from None
-        records.append((source, target, value))
-    return records
+    return _parse(stream, float, check_trust_edge, "malformed")
 
 
 def load_dataset(ratings_path=None, trust_path=None) -> Dataset:
@@ -129,6 +124,12 @@ class SyntheticSpec:
             raise ValueError("user and item counts must be positive")
         if not (self.avg_out_degree > 0 and self.avg_ratings_per_user > 0):
             raise ValueError("averages must be positive")
+        # _poisson stops when a product of uniforms falls to exp(-mean); once
+        # that leaves the normal range (mean above about 708.4) the product
+        # underflows first and silently caps the draw
+        if any(math.exp(-mean) < sys.float_info.min
+               for mean in (self.avg_out_degree, self.avg_ratings_per_user)):
+            raise ValueError("averages must be at most about 708")
         if self.trust_value_mode not in ("binary", "uniform_signed"):
             raise ValueError(f"unknown trust_value_mode {self.trust_value_mode!r}")
 
@@ -280,17 +281,18 @@ def _read_header(fh, path) -> dict:
 
 
 def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
-    """This run's state: init_network(dataset) plus a snapshot's inferred
-    entries, bit-exact. StaleSnapshotError when the snapshot's damping,
-    storage threshold, round or entries do not fit this run."""
-    state = init_network(dataset)
-    tables = state.tables
-    direct = set()  # (owner, target) of the direct lines read so far
-
+    """This run's state, bit-exact: each dataset user's table holds the
+    entries a snapshot lists for it, and its direct entries must equal the
+    user's trust edges. StaleSnapshotError when the snapshot's damping,
+    storage threshold, round or entries do not fit this run. Every line is
+    checked before any table, so a line's defect is reported first."""
     def stale(user):
         return StaleSnapshotError(
             f"{path}: direct trust of user {user} differs from the trust input")
 
+    edges = init_network(dataset).tables
+    state = NetworkState({user: {} for user in edges})
+    tables = state.tables
     with open(path, encoding="utf-8") as fh:
         meta = _read_header(fh, path)
         for key, value in (("lambda", config.damping),
@@ -323,7 +325,7 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
             except ValueError:
                 raise ParseError(line_no, f"malformed field in {line!r}") from None
             if is_node:
-                continue  # init_network gave every dataset user a table
+                continue  # every dataset user has a table, listed or not
             origin = fields[3]
             if origin not in (DIRECT, INFERRED):
                 raise ParseError(line_no, f"unknown entry origin {origin!r}")
@@ -338,23 +340,15 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
             table = tables.get(owner)
             if table is None or target not in tables:
                 raise stale(owner if table is None else target)
-            entry = table.get(target)
-            if entry is not None and (entry[1] > 1 or (owner, target) in direct):
+            if target in table:
                 raise ParseError(line_no, f"repeated entry {owner} {target}")
-            if origin == DIRECT:
-                if entry != (trust, 1):
-                    raise stale(owner)
-                direct.add((owner, target))
-            elif 0.0 <= trust < config.store_threshold:
+            if origin == INFERRED and 0.0 <= trust < config.store_threshold:
                 # run_round never stores a positive value below the threshold
                 raise StaleSnapshotError(
                     f"{path}: line {line_no}: inferred trust {trust!r} is "
                     f"below this run's threshold={config.store_threshold!r}")
-            elif entry is None:
-                table[target] = (trust, hops)
-            else:  # an inferred entry for a direct target
-                raise stale(owner)
-    if len(direct) != dataset.n_trust_edges:
-        raise stale(next(s for s, t, _ in dataset.trust_edge_list()
-                         if (s, t) not in direct))
+            table[target] = (trust, hops)
+    for user, direct in edges.items():
+        if {t: e for t, e in tables[user].items() if e[1] == 1} != direct:
+            raise stale(user)
     return state

@@ -102,6 +102,8 @@ def test_synth_byte_identical_and_parseable(tmp_path, capsys):
     ("--degree", "-1", "averages must be positive"),
     ("--degree", "nan", "averages must be positive"),
     ("--ratings-per-user", "0", "averages must be positive"),
+    ("--degree", "1000", "averages must be at most about 708"),
+    ("--ratings-per-user", "inf", "averages must be at most about 708"),
 ])
 def test_synth_out_of_range_is_usage_error(tmp_path, flag, value, message, caplog,
                                            capsys):
@@ -398,6 +400,32 @@ def test_trust_query_unknown_user_is_data_error(small_dataset, source, target,
     assert main(["trust", "--trust", str(trust), "--source", source,
                  "--target", target]) == 2
     assert "unknown user 99" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_trust_query_checks_users_before_propagating(small_dataset, tmp_path,
+                                                    monkeypatch, caplog, capsys):
+    _, trust = small_dataset
+    snap = tmp_path / "q.snap"
+
+    def no_propagate(*args, **kwargs):
+        raise AssertionError("propagated before checking the query's users")
+
+    monkeypatch.setattr("trustgrid.cli.propagate", no_propagate)
+    assert main(["trust", "--trust", str(trust), "--source", "99999",
+                 "--target", "0", "--snapshot", str(snap)]) == 2
+    assert "unknown user 99999" in caplog.text
+    assert capsys.readouterr().out == ""
+    assert not snap.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--sample", "0.5"), ("--seed", "9")])
+def test_trust_query_refuses_leave_one_out_flags(small_dataset, flag, value,
+                                                 caplog, capsys):
+    _, trust = small_dataset
+    assert main(["trust", "--trust", str(trust), "--source", "0", "--target", "1",
+                 flag, value]) == 1
+    assert f"a trust query takes no {flag}" in caplog.text
     assert capsys.readouterr().out == ""
 
 

@@ -177,6 +177,41 @@ def test_evaluate_jobs_parallel_matches_serial():
     assert serial == parallel
 
 
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: records max_workers and maps in
+    this process, so no worker is forked."""
+    made = []
+
+    def __init__(self, max_workers, mp_context, initializer, initargs):
+        self.made.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize=1):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("n_users, jobs, workers", [
+    (3, 8, 3), (3, 2, 2), (1, 4, None),
+])
+def test_evaluate_jobs_start_at_most_one_worker_per_user(monkeypatch, n_users,
+                                                          jobs, workers):
+    monkeypatch.setattr(evaluation, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(evaluation, "_worker_ctx", {})
+    monkeypatch.setattr(_InProcessPool, "made", [])
+    ds = Dataset([(u, i, 1 + (u + i) % 5) for u in range(n_users) for i in range(3)])
+    serial = evaluate_ratings(ds, "avg", jobs=1)
+    assert len({r.user for r in serial}) == n_users
+    pooled = evaluate_ratings(ds, "avg", jobs=jobs)
+    assert pooled == serial
+    assert _InProcessPool.made == ([] if workers is None else [workers])
+
+
 @pytest.mark.parametrize("method", ["mole", "tidal"])
 def test_evaluate_search_jobs_parallel_matches_serial(method):
     ds = generate_synthetic(SyntheticSpec(n_users=80, n_items=100, rng_seed=2))

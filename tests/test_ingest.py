@@ -86,6 +86,12 @@ def test_synthetic_spec_validation():
     for field in ("avg_out_degree", "avg_ratings_per_user"):
         with pytest.raises(ValueError, match="averages must be positive"):
             SyntheticSpec(**{field: float("nan")})
+        # above about 708.4, exp(-mean) is no normal float and the Poisson
+        # draw would silently cap near 745
+        for mean in (709.0, 800.0, 1000.0, float("inf")):
+            with pytest.raises(ValueError, match="averages must be at most about 708"):
+                SyntheticSpec(**{field: mean})
+        SyntheticSpec(**{field: 708.0})
 
 
 def test_synthetic_degree_close_to_spec():
@@ -223,6 +229,41 @@ def test_snapshot_inferred_entry_below_threshold_is_stale(tmp_path, trust):
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(StaleSnapshotError, match="line 4: .*threshold=0.7"):
         load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+
+
+def test_snapshot_inferred_line_before_its_direct_line_is_repeated(tmp_path):
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=0\n"
+                    "0 1 0.9 inferred 2\n0 1 1.0 direct 1\n")
+    ds = Dataset([], [(0, 1, 1.0)])
+    with pytest.raises(ParseError, match="^line 3: repeated entry 0 1$"):
+        load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+
+
+def test_snapshot_user_without_direct_lines_is_stale(tmp_path):
+    # user 1's only direct line, 1 2 1.0, is missing; its inferred line is not
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=0\n"
+                    "node 0\n0 1 1.0 direct 1\n0 2 0.8 inferred 2\n"
+                    "node 1\n1 3 0.8 inferred 2\nnode 2\n2 3 1.0 direct 1\n")
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(StaleSnapshotError,
+                       match="direct trust of user 1 differs from the trust input"):
+        load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+
+
+def test_snapshot_round_trip_tables_ending_in_inferred_entries(tmp_path):
+    # 0 and 1 infer their highest targets, so their tables end inferred
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    config = PropagationConfig(max_rounds=1)
+    state = propagate(ds, config)
+    path = tmp_path / "state.snap"
+    save_snapshot(state, path, config)
+    lines = path.read_text().splitlines()
+    for owner in (0, 1):
+        last = lines[lines.index(f"node {owner}") + 1 + len(state.tables[owner]) - 1]
+        assert last.split()[3] == "inferred"
+    assert load_snapshot(path, ds, config) == state
 
 
 def test_snapshot_negative_inferred_entry_loads(tmp_path):
