@@ -2,14 +2,14 @@
 
 from .model import (Dataset, TrustgridError,
                     NoRatingsError, UnknownItemError, UnknownUserError)
-from .propagation import (NetworkState, PropagationConfig, infer_trust,
-                          init_network, propagate, query_trust, run_round)
+from .propagation import (NetworkState, PropagationConfig, init_network,
+                          propagate, query_trust, run_round)
 from .recommender import Recommendation, confidence, neighborhood_raters, recommend
 
 __all__ = [
     "Dataset", "TrustgridError", "NoRatingsError",
     "UnknownItemError", "UnknownUserError",
-    "NetworkState", "PropagationConfig", "infer_trust", "init_network",
-    "propagate", "query_trust", "run_round",
+    "NetworkState", "PropagationConfig", "init_network", "propagate",
+    "query_trust", "run_round",
     "Recommendation", "confidence", "neighborhood_raters", "recommend",
 ]

@@ -92,8 +92,8 @@ def _path_trust(source, sink, dist, dataset):
     minimum-depth paths and, for each, the strength of its strongest path to
     the sink (path strength being the minimum edge weight); the source's
     strength is the threshold. A forward pass would give the same threshold,
-    as min and max never round. Returns (trust or None, expansions),
-    expansions being the number of nodes whose in-list the walk read.
+    as min and max never round. Returns (trust, expansions), expansions
+    being the number of nodes whose in-list the walk read.
     """
     adj = dataset.trust_adjacency.positive_out
     pred = dataset.trust_adjacency.positive_in
@@ -133,7 +133,10 @@ def _path_trust(source, sink, dist, dataset):
                     den += w
             if den > 0.0:
                 trust[u] = num / den
-    return trust.get(source), expansions
+    # the source has trust: on a strongest shortest path the last node counts
+    # its sink edge, and every earlier one an edge of weight >= threshold to
+    # a node with trust, so each den along it is a sum of positive weights
+    return trust[source], expansions
 
 
 def tidal_trust_recommend(source: int, item: int, dataset: Dataset,
@@ -171,12 +174,8 @@ def tidal_trust_recommend(source: int, item: int, dataset: Dataset,
 
     trusts = {}
     for rater in at_depth:
-        t, expansions = _path_trust(source, rater, dist, dataset)
+        trusts[rater], expansions = _path_trust(source, rater, dist, dataset)
         queries += expansions
-        if t is not None:
-            trusts[rater] = t
-    if not trusts:
-        return TidalResult(None, -1, set(), queries)
 
     best = max(trusts.values())
     selected = {(u, t, raters[u]) for u, t in trusts.items() if t == best}

@@ -135,7 +135,8 @@ def build_parser() -> _Parser:
     p.add_argument("--view", choices=evaluation.VIEW_NAMES, default="all")
     p.add_argument("--sample", type=fraction,
                    help="held-out rating sample fraction")
-    p.add_argument("--seed", type=int, default=0)
+    # no argparse default, so _check_seed can tell whether it was given
+    p.add_argument("--seed", type=int, help="sample seed (default 0)")
     _add_horizon_flag(p)
     p.add_argument("--jobs", type=positive_int, default=1)
     p.add_argument("--out", help="write machine-readable report records here")
@@ -206,6 +207,15 @@ def _check_method_flags(args):
         if getattr(args, dest) is not None:
             raise _UsageError(f"{flag} applies only to --method proposed, "
                               f"not {args.method}")
+
+
+def _check_seed(args):
+    """--seed only picks the --sample, so without one it would be silently
+    ignored. Fills in seed 0 after the check."""
+    if args.seed is not None and args.sample is None:
+        raise _UsageError("--seed applies only with --sample")
+    if args.seed is None:
+        args.seed = 0
 
 
 def _cmd_ingest(args):
@@ -303,17 +313,19 @@ def _cmd_recommend(args):
 def _cmd_trust(args):
     config = _config_from_args(args)
     # each mode reads flags the other would silently ignore
-    mode, ignored = (("--leave-one-out", ("snapshot", "source", "target"))
+    mode, ignored = (("--leave-one-out", ("ratings", "snapshot", "source", "target"))
                      if args.leave_one_out else ("a trust query", ("sample", "seed")))
     for flag in ignored:
         if getattr(args, flag) is not None:
             raise _UsageError(f"{mode} takes no --{flag}")
-    if not args.leave_one_out and (args.source is None or args.target is None):
+    if args.leave_one_out:
+        _check_seed(args)
+    elif args.source is None or args.target is None:
         raise _UsageError("trust query needs --source and --target")
     dataset = _load(args)
     if args.leave_one_out:
         coverage, error = evaluation.leave_one_out_trust(
-            dataset, config, sample=args.sample, seed=args.seed or 0)
+            dataset, config, sample=args.sample, seed=args.seed)
         print(f"coverage={'na' if coverage is None else f'{coverage:.4f}'} "
               f"mae={'na' if error is None else f'{error:.4f}'}")
         return EXIT_OK
@@ -332,14 +344,17 @@ def _cmd_trust(args):
 
 def _cmd_evaluate(args):
     _check_method_flags(args)
+    _check_seed(args)
     config = _config_from_args(args)
     dataset = _load(args)
     state = None
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
-    report = evaluation.leave_one_out_ratings(
+    results = evaluation.evaluate_ratings(
         dataset, args.method, sample=args.sample, seed=args.seed,
         view=args.view, horizon=args.horizon, state=state, jobs=args.jobs)
+    report = evaluation.build_report(results, args.method, args.view)
+    record = report.to_dict()
 
     def fmt(x):
         return "na" if x is None else f"{x:.4f}"
@@ -350,15 +365,13 @@ def _cmd_evaluate(args):
     print(f"ratings_coverage={fmt(report.ratings_coverage)} "
           f"users_coverage={fmt(report.users_coverage)}")
     print(f"mean_rating_recall={fmt(report.mean_rating_recall)}")
-    print("depth_histogram=" + json.dumps(
-        {str(k): v for k, v in sorted(report.depth_histogram.items())}))
+    print("depth_histogram=" + json.dumps(record["depth_histogram"]))
     for p in report.delta_curve:
         print(f"delta_a>={p.min_delta_a}: n={p.n} "
               f"mean_dr={fmt(p.mean_delta_r)} mean_da={fmt(p.mean_delta_a)} "
               f"mean_dcf={fmt(p.mean_delta_cf)}")
 
     if args.out:
-        record = report.to_dict()
         record["config"] = _echo_config(args)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(record, sort_keys=True) + "\n")

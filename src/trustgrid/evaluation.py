@@ -179,7 +179,7 @@ def _predictor(dataset, state, method, horizon, user):
             if res.predicted is None:
                 return None, None, None
             others = sum(1 for u in dataset.item_raters(item) if u != user)
-            recall = len(res.raters_considered) / others if others else None
+            recall = len(res.raters_considered) / others
             return res.predicted, res.depth, recall
     elif method == "mole":
         scores = baselines.mole_trust_scores(user, dataset, horizon)
@@ -342,18 +342,6 @@ def build_report(results, method: str, view: str) -> EvalReport:
         depth_histogram=histogram,
         delta_curve=delta_curve(triples),
     )
-
-
-def leave_one_out_ratings(dataset: Dataset, method: str, *,
-                          sample: float | None = None, seed: int = 0,
-                          view: str = "all",
-                          horizon: int = baselines.DEFAULT_HORIZON,
-                          state: NetworkState | None = None,
-                          jobs: int = 1) -> EvalReport:
-    """Leave-one-out evaluation of one method, reported for one view."""
-    results = evaluate_ratings(dataset, method, sample=sample, seed=seed,
-                               view=view, horizon=horizon, state=state, jobs=jobs)
-    return build_report(results, method, view)
 
 
 # -- leave-one-out over trust edges ---------------------------------------

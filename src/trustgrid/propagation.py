@@ -103,21 +103,6 @@ def _node_sums(neighbours, tables, damping, targets=None):
     return sums
 
 
-def infer_trust(x: int, y: int,
-                tables: dict[int, dict[int, tuple[float, int]]],
-                damping: float) -> float | None:
-    """Damped weighted-average trust from x to y through x's trusted neighbors.
-
-    Contributors are x's direct neighbors i with direct trust(x,i) > 0 whose
-    table holds an entry for y (direct or inferred, signed values included).
-    Returns None when no neighbor can report on y.
-    """
-    neighbours = [(i, trust) for i, (trust, hops) in tables[x].items()
-                  if hops == 1 and trust > 0.0]
-    acc = _node_sums(neighbours, tables, damping, {y}).get(y)
-    return None if acc is None else acc[0] / acc[1]
-
-
 def _direct_targets_if_bounded(tables, adjacency, config):
     """{owner: targets it holds at hops 1} when the round's bound (see
     run_round) proves unstorable every target that no positive neighbour

@@ -28,6 +28,14 @@ def test_tidal_infer_unreachable():
     assert tidal_trust_infer(0, 9, ds) is None
 
 
+def test_search_baselines_refuse_invalid_arguments():
+    ds = Dataset([], [(0, 1, 1.0)])
+    with pytest.raises(ValueError, match="source and sink must differ"):
+        tidal_trust_infer(0, 0, ds)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        mole_trust_scores(0, ds, 0)
+
+
 def test_tidal_infer_direct_edge():
     ds = Dataset([], [(0, 9, 0.4)])
     assert tidal_trust_infer(0, 9, ds) == approx(0.4)

@@ -56,6 +56,24 @@ def test_recommend_unknown_user_is_data_error(small_dataset, caplog):
     assert "999" in caplog.text
 
 
+def test_recommend_unknown_item_is_data_error(small_dataset, caplog, capsys):
+    ratings, trust = small_dataset
+    code = main(["recommend", "--ratings", str(ratings), "--trust", str(trust),
+                 "--user", "0", "--item", "99"])
+    assert code == 2
+    assert "unknown item 99" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+def test_recommend_proposed_without_trusted_rater(small_dataset, capsys):
+    ratings, trust = small_dataset
+    code = main(["recommend", "--ratings", str(ratings), "--trust", str(trust),
+                 "--user", "2", "--item", "8"])
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "no prediction: no positively-trusted neighbor rated this item\n")
+
+
 def test_recommend_proposed(small_dataset, capsys):
     ratings, trust = small_dataset
     code = main(["recommend", "--ratings", str(ratings), "--trust", str(trust),
@@ -63,6 +81,13 @@ def test_recommend_proposed(small_dataset, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "predicted=" in out and "confidence=" in out
+
+
+def test_trust_query_without_target_is_usage_error(small_dataset, caplog, capsys):
+    _, trust = small_dataset
+    assert main(["trust", "--trust", str(trust), "--source", "1"]) == 1
+    assert "trust query needs --source and --target" in caplog.text
+    assert capsys.readouterr().out == ""
 
 
 def test_trust_query(small_dataset, capsys):
@@ -436,17 +461,42 @@ def test_trust_self_query_has_no_entry(small_dataset, capsys):
     assert capsys.readouterr().out == "no trust entry\n"
 
 
-@pytest.mark.parametrize("flag", ["--snapshot", "--source", "--target"])
+@pytest.mark.parametrize("flag", ["--ratings", "--snapshot", "--source", "--target"])
 def test_trust_leave_one_out_refuses_query_flags(small_dataset, tmp_path, flag,
                                                  caplog, capsys):
     _, trust = small_dataset
     snap = tmp_path / "loo.snap"
-    value = str(snap) if flag == "--snapshot" else "0"
+    # a missing ratings file would be a data error (exit 2) if it were read
+    value = {"--ratings": str(tmp_path / "missing.txt"),
+             "--snapshot": str(snap)}.get(flag, "0")
     assert main(["trust", "--trust", str(trust), "--leave-one-out",
                  flag, value]) == 1
     assert f"--leave-one-out takes no {flag}" in caplog.text
     assert capsys.readouterr().out == ""
     assert not snap.exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "trust"])
+def test_seed_without_sample_is_usage_error(tmp_path, command, caplog, capsys):
+    # the input files are missing, so reading them would be a data error
+    missing = str(tmp_path / "missing.txt")
+    argv = ([command, "--ratings", missing, "--trust", missing, "--method", "avg"]
+            if command == "evaluate"
+            else [command, "--trust", missing, "--leave-one-out"])
+    assert main([*argv, "--seed", "5"]) == 1
+    assert "--seed applies only with --sample" in caplog.text
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("flags, seed", [
+    ([], 0), (["--sample", "0.5", "--seed", "5"], 5),
+])
+def test_evaluate_out_echoes_seed(small_dataset, tmp_path, flags, seed, capsys):
+    ratings, trust = small_dataset
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
+                 "--method", "avg", "--out", str(out), *flags]) == 0
+    assert json.loads(out.read_text())["config"]["seed"] == seed
 
 
 @pytest.mark.parametrize("method", ["tidal", "mole", "cf", "avg"])

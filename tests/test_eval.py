@@ -9,9 +9,8 @@ from trustgrid import baselines, evaluation
 from trustgrid.evaluation import (METHODS, VIEW_NAMES, EmptyInputError,
                                   HeldOutResult, UnknownMethodError, build_report,
                                   coverage_metrics, delta_curve,
-                                  evaluate_ratings, leave_one_out_ratings,
-                                  leave_one_out_trust, mae, maue,
-                                  sample_ratings, view_predicates)
+                                  evaluate_ratings, leave_one_out_trust, mae,
+                                  maue, sample_ratings, view_predicates)
 from trustgrid.ingest import SyntheticSpec, generate_synthetic
 from trustgrid.model import Dataset
 from trustgrid.propagation import PropagationConfig, propagate
@@ -114,7 +113,7 @@ def test_loo_unique_rating_is_miss():
 
 def test_loo_consensus_identity():
     ds = Dataset([(0, 7, 4), (1, 7, 4), (2, 7, 4)])
-    report = leave_one_out_ratings(ds, "avg")
+    report = build_report(evaluate_ratings(ds, "avg"), "avg", "all")
     assert report.mae == 0.0
 
 

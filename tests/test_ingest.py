@@ -28,7 +28,8 @@ def test_parse_ratings_out_of_range():
     ("1 100 0", "rating value 0 not an integer in [1,5]"),
     ("-1 100 5", "user and item ids must be non-negative"),
     ("1 -100 5", "user and item ids must be non-negative"),
-], ids=["rating-0", "negative-user", "negative-item"])
+    ("0 7 x", "non-integer field in '0 7 x'"),
+], ids=["rating-0", "negative-user", "negative-item", "non-integer"])
 def test_parse_ratings_invalid_record_names_line(bad, message):
     with pytest.raises(ParseError) as info:
         parse_ratings(io.StringIO(f"1 100 5\n{bad}\n"))
@@ -55,7 +56,8 @@ def test_parse_trust_out_of_range():
     ("7 9 nan", "trust value nan outside [-1,1]"),
     ("7 9 -1.5", "trust value -1.5 outside [-1,1]"),
     ("-7 9 1", "user ids must be non-negative"),
-], ids=["nan", "below-minus-1", "negative-source"])
+    ("7 9 x", "malformed field in '7 9 x'"),
+], ids=["nan", "below-minus-1", "negative-source", "malformed"])
 def test_parse_trust_invalid_record_names_line(bad, message):
     with pytest.raises(ParseError) as info:
         parse_trust(io.StringIO(f"7 9 1\n{bad}\n"))
@@ -184,6 +186,7 @@ def test_snapshot_not_a_snapshot(tmp_path):
     "0 2 0.9 inferred 2",    # repeats line 5
     "0 1 0.9 inferred 2",    # repeats line 4's (owner, target)
     "0 0 0.9 inferred 2",    # self entry
+    "1 0 0.5 guessed 2",     # unknown entry origin
 ])
 def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
     path = tmp_path / "bad.snap"

@@ -6,13 +6,12 @@ import struct
 import pytest
 from pytest import approx
 
-from oracle import (dense_fixed_point, node_averages, random_graph,
-                    reference_round)
+from oracle import dense_fixed_point, random_graph, reference_round
 from trustgrid import propagation
 from trustgrid.model import Dataset, UnknownUserError
 from trustgrid.propagation import (DIRECT, INFERRED, NetworkState, PropagationConfig,
-                                   infer_trust, init_network, propagate,
-                                   query_trust, run_round)
+                                   init_network, propagate, query_trust,
+                                   run_round)
 
 
 def chain_dataset(weights):
@@ -47,24 +46,6 @@ def test_init_network_keeps_direct_distrust():
     assert state.tables[0][1] == (-0.3, 1)
 
 
-def test_infer_trust_single_path():
-    ds = Dataset([], [(0, 1, 1.0), (1, 9, 0.5)])
-    state = init_network(ds)
-    assert infer_trust(0, 9, state.tables, 0.8) == approx(0.4)
-
-
-def test_infer_trust_two_paths():
-    ds = Dataset([], [(0, 1, 1.0), (1, 9, 1.0), (0, 2, 0.2), (2, 9, 0.1)])
-    state = init_network(ds)
-    assert infer_trust(0, 9, state.tables, 0.8) == approx(0.68)
-
-
-def test_infer_trust_distrusted_neighbor_excluded():
-    ds = Dataset([], [(0, 1, -0.5), (1, 9, 1.0)])
-    state = init_network(ds)
-    assert infer_trust(0, 9, state.tables, 0.8) is None
-
-
 def test_run_round_chain():
     ds = chain_dataset([1.0, 1.0])
     state = init_network(ds)
@@ -75,6 +56,22 @@ def test_run_round_chain():
     assert change == approx(0.8) and added == 1
     state, change, added = run_round(state, ds, config)
     assert change == 0.0 and added == 0
+
+
+@pytest.mark.parametrize("edges, value", [
+    ([(0, 1, 1.0), (1, 9, 0.5)], 0.4),
+    ([(0, 1, 1.0), (1, 9, 1.0), (0, 2, 0.2), (2, 9, 0.1)], 0.68),
+    ([(0, 1, -0.5), (1, 9, 1.0)], None),  # no average through distrust
+], ids=["single-path", "two-paths", "distrusted-neighbor"])
+def test_run_round_one_round_average(edges, value):
+    ds = Dataset([], edges)
+    state, change, added = run_round(init_network(ds), ds,
+                                     PropagationConfig(store_threshold=0.0))
+    if value is None:
+        assert 9 not in state.tables[0] and (change, added) == (0.0, 0)
+    else:
+        assert state.tables[0][9] == (approx(value), 2)
+        assert change == approx(value) and added == 1
 
 
 def test_run_round_isolated_node():
@@ -391,22 +388,3 @@ def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, pruned):
         assert all(isinstance(t, set) for t in seen)
     else:
         assert all(t is None for t in seen)
-
-
-def test_infer_trust_matches_full_average():
-    rng = random.Random(41)
-    for kind in ("binary", "positive", "signed", "quarters"):
-        ds = valued_graph(rng, kind, 10)
-        state = init_network(ds)
-        for _ in range(3):
-            state, _, _ = run_round(state, ds, PropagationConfig(store_threshold=0.3))
-        for x in state.tables:
-            neighbours = ds.trust_adjacency.positive_out.get(x, ())
-            averages = node_averages(state.tables, neighbours, 0.8)
-            for y in state.tables:
-                got = infer_trust(x, y, state.tables, 0.8)
-                want = averages.get(y)
-                if want is None:
-                    assert got is None
-                else:
-                    assert struct.pack("<d", got) == struct.pack("<d", want[0])
