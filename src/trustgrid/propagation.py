@@ -14,8 +14,13 @@ neighbours holds at hops 1 is averaged from values in [0, M] alone, so its
 average lies in [0, damping * M]; when that bound, widened by the rounding
 error run_round derives, is below the storage threshold, the rule discards
 such a target and it is never summed. With the defaults every inferred value
-is at most 0.8, and 0.8 * 0.8 = 0.64 < 0.7. The stored tables are the same,
-bit for bit, as when every target is averaged.
+is at most 0.8, and 0.8 * 0.8 = 0.64 < 0.7. The targets x then sums, its
+neighbours' direct targets less x and its own, depend on the trust adjacency
+alone, so each Dataset indexes them once, with the positions of the ones
+each neighbour can hold; a bounded round reads only those neighbour
+entries. A round whose tables hold anything else, as they can after an
+unbounded round, sums every target. The stored tables are the same, bit for
+bit, as when every target is averaged.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -27,7 +32,12 @@ from hops.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from typing import NamedTuple
 
 from .model import Dataset, UnknownUserError
 
@@ -75,22 +85,19 @@ def init_network(dataset: Dataset) -> NetworkState:
                          for user in sorted(dataset.users)})
 
 
-def _node_sums(neighbours, tables, damping, targets=None):
+def _node_sums(neighbours, tables, damping):
     """Per-target `[num, den, hops]` accumulators of x's damped weighted
     average over its neighbours' tables: num sums `w * damping * trust`, den
     sums `w`, hops is the fewest hops among the entries that contributed.
 
     `neighbours` lists x's positive direct (i, trust(x, i)) edges in ascending
     i, so every target sums its contributions in ascending i, which fixes its
-    float result. `targets` limits the sums to those targets; None means every
-    target the tables hold.
+    float result.
     """
     sums = {}
     for i, w in neighbours:
         scale = w * damping
         for y, (trust, hops) in tables[i].items():
-            if targets is not None and y not in targets:
-                continue
             acc = sums.get(y)
             if acc is None:
                 # 0.0 + keeps a -0.0 product +0.0, as summing from 0.0 does
@@ -103,34 +110,106 @@ def _node_sums(neighbours, tables, damping, targets=None):
     return sums
 
 
-def _direct_targets_if_bounded(tables, adjacency, config):
-    """{owner: targets it holds at hops 1} when the round's bound (see
-    run_round) proves unstorable every target that no positive neighbour
-    holds at hops 1, else None.
+class _Index(NamedTuple):
+    """What a bounded round reads of a Dataset's trust adjacency, keyed by
+    user. ys[x] is the union of x's positive neighbours' direct targets, less
+    x and x's own direct targets: the targets x sums under the bound."""
+
+    direct: dict[int, list[int]]          # x's direct targets, ascending
+    ys: dict[int, tuple[int, ...]]        # ascending
+    positions: dict[int, list]            # one bytes or array per positive
+    # neighbour i of x, in ascending i: the positions in ys[x] of the
+    # targets i can hold, direct[i] and ys[i]
+    degree: int                           # k, the largest positive out-degree
+    min_weight: float                     # w_min, the smallest positive weight
+
+
+def _build_index(dataset: Dataset) -> _Index:
+    out = dataset.trust_adjacency.out
+    positive_out = dataset.trust_adjacency.positive_out
+    direct = {x: [t for t, _ in out.get(x, ())] for x in dataset.users}
+    ys = {}
+    for x in dataset.users:
+        reach = set().union(*(direct[i] for i, _ in positive_out.get(x, ())))
+        reach.discard(x)
+        reach.difference_update(direct[x])
+        ys[x] = tuple(sorted(reach))
+    positions = {}
+    for x, targets in ys.items():
+        at = {y: p for p, y in enumerate(targets)}
+        # one byte per position while they fit, else the narrowest array
+        if len(targets) <= 256:
+            pack = bytes
+        else:
+            pack = partial(array, "H" if len(targets) <= 65536 else "L")
+        positions[x] = [
+            pack(sorted(at[y] for y in (*direct[i], *ys[i]) if y in at))
+            for i, _ in positive_out.get(x, ())]
+    weights = [w for edges in positive_out.values() for _, w in edges]
+    return _Index(direct, ys, positions,
+                  max(map(len, positive_out.values()), default=0),
+                  min(weights, default=math.inf))
+
+
+def _bounded_index(tables, dataset, config):
+    """The Dataset's index when the round's bound (see run_round) proves
+    unstorable every target outside ys and the tables hold only what the
+    index names, else None.
 
     One scan of the tables finds the hops-1 targets and M, the largest value
-    held at hops >= 2; it gives up at the first entry that is not >= 0.
+    held at hops >= 2; it gives up at the first entry that is not >= 0,
+    before the index is built, so a run whose tables hold negative trust
+    never builds it.
     """
-    direct = {}
+    held = []
     top = 0.0
     for owner, table in tables.items():
-        held = direct[owner] = []
+        targets = []
         for y, (trust, hops) in table.items():
             if not trust >= 0.0:
                 return None  # negative (or NaN): the average has no lower bound
             if hops == 1:
-                held.append(y)
+                targets.append(y)
             elif trust > top:
                 top = trust
-    weights = [w for edges in adjacency.positive_out.values() for _, w in edges]
-    if not weights:
-        return None  # no node has a neighbour, so there is nothing to sum
-    k = max(len(edges) for edges in adjacency.positive_out.values())
+        held.append((owner, targets, table))
+    index = dataset._propagation_index
+    if index is None:
+        index = dataset._propagation_index = _build_index(dataset)
     # twice run_round's 4(k+1)u and (k+1)(1+M)*2^-1073/w_min, so the four
-    # roundings of this check cannot undercut them
+    # roundings of this check cannot undercut them; with no positive edge
+    # w_min is inf and there is nothing to sum
+    k = index.degree
     bound = (config.damping * top * (1.0 + 8 * (k + 1) * 2.0 ** -53)
-             + (k + 1) * (1.0 + top) / min(weights) * 2.0 ** -1072)
-    return direct if bound < config.store_threshold else None
+             + (k + 1) * (1.0 + top) / index.min_weight * 2.0 ** -1072)
+    if not bound < config.store_threshold:
+        return None
+    # every table must hold its own trust edges at hops 1 and nothing that
+    # the index does not name, as after init_network or a bounded round; an
+    # unbounded round can store targets farther away
+    for owner, targets, table in held:
+        if (targets != index.direct.get(owner)
+                or not (table.keys() - targets).issubset(index.ys[owner])):
+            return None
+    return index
+
+
+def _indexed_sums(x, neighbours, tables, damping, index):
+    """(y, (num, den, 1)) for each y in index.ys[x]: its sums as _node_sums
+    adds them, read from only the neighbour entries the index names, and
+    the fewest hops among them, since some neighbour holds y at hops 1."""
+    ys = index.ys[x]
+    num = [0.0] * len(ys)
+    den = [0.0] * len(ys)
+    for (i, w), where in zip(neighbours, index.positions[x]):
+        scale = w * damping
+        table = tables[i]
+        for p in where:
+            entry = table.get(ys[p])
+            if entry is not None:
+                num[p] += scale * entry[0]
+                den[p] += w
+    return zip(ys, zip(num, den, repeat(1)))
 
 
 def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
@@ -160,16 +239,27 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     d*M*(1 + 4(k+1)u) + (k+1)(1+M)*2^-1073/w_min,
     and it is +0.0, -0.0 or positive. When that bound is below the threshold
     the storage rule (`0.0 <= value < threshold`) discards y whatever its
-    sum, so each node sums only the union of its positive neighbours' hops-1
-    targets, less itself and its own direct targets; otherwise (a negative
-    entry, threshold 0, or d*M too close to the threshold) it sums every
-    target. With the defaults every inferred value is at most 0.8, so
+    sum, so each node sums only ys(x), the union of its positive neighbours'
+    hops-1 targets, less itself and its own direct targets; otherwise (a
+    negative entry, threshold 0, or d*M too close to the threshold) it sums
+    every target. With the defaults every inferred value is at most 0.8, so
     d*M <= 0.64 < 0.7.
-    Either way every stored value and hops is the same, bit for bit.
+
+    ys(x) depends on the trust adjacency alone, so it is built once per
+    Dataset, together with, for each positive neighbour i, the positions in
+    ys(x) of the targets i can hold: its direct targets and ys(i). A bounded
+    round reads only those entries of i's table. That covers every entry it
+    needs while each table holds its direct targets at hops 1 and nothing
+    outside them and its ys, as after init_network or a bounded round; when
+    an unbounded round or a state built by hand breaks this, the round sums
+    every target. Every target summed under the bound is held at hops 1 by a
+    neighbour, so it is stored at hops 2. Either way every stored value and
+    hops is the same, bit for bit.
     """
     tables = state.tables
     adjacency = dataset.trust_adjacency
-    direct = _direct_targets_if_bounded(tables, adjacency, config)
+    index = _bounded_index(tables, dataset, config)
+    damping = config.damping
     threshold = config.store_threshold
     new_tables = {}
     max_change = 0.0
@@ -178,15 +268,14 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     for x, old in tables.items():
         entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
         neighbours = adjacency.positive_out.get(x, ())
-        targets = None
-        if direct is not None:
-            targets = set().union(*(direct[i] for i, _ in neighbours))
-            targets.discard(x)
-            targets.difference_update(entries)
-        sums = _node_sums(neighbours, tables, config.damping, targets)
-        for y, (num, den, hops) in sums.items():
-            if y == x or y in entries:
-                continue  # self or a direct target
+        if index is None:
+            sums = _node_sums(neighbours, tables, damping)
+            for y in (x, *entries):  # self and direct targets are not inferred
+                sums.pop(y, None)
+            sums = sums.items()
+        else:
+            sums = _indexed_sums(x, neighbours, tables, damping, index)
+        for y, (num, den, hops) in sums:
             value = num / den
             if 0.0 <= value < threshold:
                 continue  # too weak to store

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from trustgrid import baselines, evaluation
+from trustgrid import baselines, evaluation, propagation
 from trustgrid.cli import build_parser, main
 from trustgrid.ingest import load_dataset
 from trustgrid.propagation import PropagationConfig
@@ -191,6 +191,26 @@ def test_evaluate_proposed_with_snapshot_cache(tmp_path, capsys):
         assert main(query + ["--snapshot", str(snap)]) == 0
         assert capsys.readouterr().out == fresh
     assert snap.exists()
+
+
+def test_only_propagate_builds_the_propagation_index(tmp_path, monkeypatch,
+                                                     capsys):
+    # propagate builds the index once for all its rounds; evaluating from a
+    # snapshot, or with any baseline, never propagates and must not build it
+    r, t, snap = tmp_path / "r.txt", tmp_path / "t.txt", tmp_path / "net.snap"
+    assert main(["synth", "--users", "40", "--items", "80", "--seed", "3",
+                 "--out-ratings", str(r), "--out-trust", str(t)]) == 0
+    built = []
+    build = propagation._build_index
+    monkeypatch.setattr(propagation, "_build_index",
+                        lambda dataset: built.append(dataset) or build(dataset))
+    assert main(["propagate", "--trust", str(t), "--snapshot", str(snap)]) == 0
+    assert len(built) == 1
+    for method in ("proposed", "tidal", "mole", "cf", "avg"):
+        flags = ["--snapshot", str(snap)] if method == "proposed" else []
+        assert main(["evaluate", "--ratings", str(r), "--trust", str(t),
+                     "--method", method, *flags]) == 0
+    assert len(built) == 1
 
 
 def _baseline_recommend_line(method, user, item, ds):
@@ -601,18 +621,23 @@ def test_evaluate_builds_view_predicates_once(small_dataset, monkeypatch, method
     assert len(calls) == 1
 
 
-# sha256 of `propagate --snapshot` bytes on two seeded synth graphs (neither
-# converges in 50 rounds); an ulp of drift in the propagation kernel shows here
+# sha256 of `propagate --snapshot` bytes on three seeded synth graphs (none
+# converges in 50 rounds); an ulp of drift in the propagation kernel shows
+# here. The third is the graph of bench/run.py's binary-propagate workload,
+# pinned in bench/expected_seed6.json, so its bytes are checked on every
+# Python version the tests run on
 GOLDEN_SNAPSHOTS = [
     (["--users", "60", "--items", "180"],
      "d5cbe8c18395e2a4957ceacad92d072598d654a7aeb38bd40a5a58fb2d23d6bf"),
     (["--users", "50", "--items", "150", "--mode", "uniform_signed"],
      "f1ed04ee00d1ee67f5abaafc4b8cf577d2d6fe1ab17ca819d22d04d6b9ba514c"),
+    (["--users", "500", "--items", "1500"],
+     "526f9f48dea5ea94ba58bd5b154f77893b379fe6e3019237780ffd5006fe1809"),
 ]
 
 
 @pytest.mark.parametrize("synth_args, digest", GOLDEN_SNAPSHOTS,
-                         ids=["binary", "uniform_signed"])
+                         ids=["binary", "uniform_signed", "bench-binary"])
 def test_propagate_snapshot_golden_bytes(synth_args, digest, tmp_path, capsys):
     r, t, snap = tmp_path / "r.txt", tmp_path / "t.txt", tmp_path / "net.snap"
     assert main(["synth", *synth_args, "--seed", "6",

@@ -156,20 +156,32 @@ def test_propagate_deterministic():
     assert propagate(ds, config) == propagate(ds, config)
 
 
-def test_propagate_matches_run_round_sequence():
-    # propagate equals stepping run_round by hand
+def test_propagate_matches_run_round_sequence(monkeypatch):
+    # propagate equals stepping run_round by hand, bit for bit: on the
+    # signed graphs at threshold 0.25 most rounds sum every target; on
+    # binary graphs with the defaults every round takes the index, and
+    # propagate builds its own
     rng = random.Random(13)
-    for _ in range(20):
-        n, edges = random_graph(rng, max_nodes=8)
+    runs = [(random_graph(rng, max_nodes=8)[1],
+             PropagationConfig(store_threshold=0.25, max_rounds=12), None)
+            for _ in range(20)]
+    runs += [({(s, t): v for s, t, v in binary_graph(seed, n).trust_edge_list()},
+              PropagationConfig(max_rounds=12), "indexed")
+             for seed, n in ((3, 30), (4, 12), (5, 8), (6, 20))]
+    seen = record_kernels(monkeypatch)
+    for edges, config, kernel in runs:
         ds = edges_dataset(edges)
-        config = PropagationConfig(store_threshold=0.25, max_rounds=12)
         state = init_network(ds)
+        seen.clear()
         for _ in range(config.max_rounds):
             state, change, _ = run_round(state, ds, config)
             if change <= config.tolerance:
                 state.converged = True
                 break
-        assert state == propagate(ds, config)
+        assert kernel is None or set(seen) == {kernel}
+        got = propagate(edges_dataset(edges), config)
+        assert (got.round, got.converged) == (state.round, state.converged)
+        assert bits(got.tables) == bits(state.tables)
 
 
 @pytest.mark.parametrize("max_rounds, expected", [
@@ -281,14 +293,21 @@ def valued_graph(rng, kind, n):
                           if s != t and rng.random() < p})
 
 
+def step_matches_reference(state, ds, config):
+    """run_round's next state, after checking it bit for bit against the
+    reference round."""
+    expected, change, added = reference_round(
+        state.tables, ds, config.damping, config.store_threshold)
+    state, got_change, got_added = run_round(state, ds, config)
+    assert bits(state.tables) == bits(expected)
+    assert struct.pack("<d", got_change) == struct.pack("<d", change)
+    assert got_added == added
+    return state
+
+
 def assert_rounds_match_reference(state, ds, config, rounds):
     for _ in range(rounds):
-        expected, change, added = reference_round(
-            state.tables, ds, config.damping, config.store_threshold)
-        state, got_change, got_added = run_round(state, ds, config)
-        assert bits(state.tables) == bits(expected)
-        assert struct.pack("<d", got_change) == struct.pack("<d", change)
-        assert got_added == added
+        state = step_matches_reference(state, ds, config)
 
 
 @pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters"])
@@ -353,15 +372,15 @@ def test_run_round_bound_covers_rounding():
     assert state.tables[0][3] == (value, 3)
 
 
-def record_targets(monkeypatch):
+def record_kernels(monkeypatch):
+    """The kernel each node of each later run_round sums with, in call
+    order: "full" (_node_sums) or "indexed" (_indexed_sums)."""
     seen = []
-    kernel = propagation._node_sums
-
-    def recording(neighbours, tables, damping, targets=None):
-        seen.append(targets)
-        return kernel(neighbours, tables, damping, targets)
-
-    monkeypatch.setattr(propagation, "_node_sums", recording)
+    for name, label in (("_node_sums", "full"), ("_indexed_sums", "indexed")):
+        def recording(*args, kernel=getattr(propagation, name), label=label):
+            seen.append(label)
+            return kernel(*args)
+        monkeypatch.setattr(propagation, name, recording)
     return seen
 
 
@@ -371,20 +390,64 @@ def binary_graph(seed=3, n=30):
                           if s != t and rng.random() < 0.15})
 
 
-@pytest.mark.parametrize("ds, config, pruned", [
+@pytest.mark.parametrize("ds, config, indexed", [
     (binary_graph(), PropagationConfig(), True),
     (binary_graph(), PropagationConfig(damping=0.9), False),
     (binary_graph(), PropagationConfig(store_threshold=0.0), False),
     (edges_dataset({**{e: 1.0 for e in [(0, 1), (1, 2), (2, 3), (3, 0)]},
                     (2, 0): -0.5}), PropagationConfig(), False),
 ])
-def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, pruned):
+def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, indexed):
+    # the first round, from direct entries alone, is bounded at damping 0.9
+    # too, so the cases differ from the second round on
     state, _, _ = run_round(init_network(ds), ds, config)
-    seen = record_targets(monkeypatch)
+    seen = record_kernels(monkeypatch)
     for _ in range(3):
         state, _, _ = run_round(state, ds, config)
-    assert seen
-    if pruned:
-        assert all(isinstance(t, set) for t in seen)
-    else:
-        assert all(t is None for t in seen)
+    assert len(seen) == 3 * len(state.tables)
+    assert set(seen) == {"indexed" if indexed else "full"}
+
+
+def test_run_round_switching_kernels_matches_reference_round(monkeypatch):
+    # at damping 0.9 the first round, from direct entries alone, is bounded,
+    # and the 0.9s it stores make the next one unbounded; on the cycle
+    # 0 -> 1, 2 <-> 3, 2 -> 0, 3 -> 0 the entries of 2 and 3 for 1 then fall
+    # from 0.9 towards 9/11 and the rounds are bounded again. At, one ulp
+    # above and one ulp below damping^2 every round of every run must agree
+    # with the reference bit for bit, whichever kernel it takes
+    rng = random.Random("switch")
+    graphs = [Dataset([], [(0, 1, 1.0), (2, 0, 1.0), (2, 3, 1.0), (3, 0, 1.0),
+                           (3, 2, 1.0)])]
+    graphs += [valued_graph(rng, kind, rng.randint(4, 14))
+               for kind in ("binary", "positive") for _ in range(8)]
+    seen = record_kernels(monkeypatch)
+    switches = set()
+    d2 = 0.9 * 0.9
+    for ds in graphs:
+        for threshold in (d2, math.nextafter(d2, 1.0), math.nextafter(d2, 0.0)):
+            config = PropagationConfig(damping=0.9, store_threshold=threshold)
+            state = init_network(ds)
+            kernels = []
+            for _ in range(8):
+                seen.clear()
+                state = step_matches_reference(state, ds, config)
+                assert len(set(seen)) == 1
+                kernels.append(seen[0])
+            switches.update(zip(kernels, kernels[1:]))
+    assert {("indexed", "full"), ("full", "indexed")} <= switches
+
+
+@pytest.mark.parametrize("tables", [
+    # 1 holds 3, outside its direct targets and its (empty) ys: the index
+    # would sum 0's entry for 3 from 2 alone, 0.8, instead of 0.6
+    {0: {1: (1.0, 1), 2: (1.0, 1)}, 1: {3: (0.5, 2)}, 2: {3: (1.0, 1)}, 3: {}},
+    # 2 holds its trust in 3 at hops 2, so it lacks its direct entry for 3
+    {0: {1: (1.0, 1), 2: (1.0, 1)}, 1: {3: (0.5, 2)}, 2: {3: (0.5, 2)}, 3: {}},
+], ids=["key-outside-ys", "direct-entry-missing"])
+def test_run_round_falls_back_on_states_the_index_does_not_cover(monkeypatch,
+                                                                 tables):
+    ds = Dataset([], [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
+    config = PropagationConfig()
+    seen = record_kernels(monkeypatch)
+    assert_rounds_match_reference(hand_state(tables), ds, config, 1)
+    assert set(seen) == {"full"}
