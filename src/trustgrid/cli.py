@@ -53,12 +53,13 @@ _PROPAGATION_FLAGS = {
 def _add_propagation_flags(p):
     # no argparse default, so a flag not given reads None; _config_from_args
     # fills in PropagationConfig's default
+    default = PropagationConfig()
     p.add_argument("--lambda", dest="damping", type=float,
-                   help="per-hop damping factor (default 0.8)")
-    p.add_argument("--threshold", type=float,
-                   help="storage threshold on positive inferred trust (default 0.7)")
-    p.add_argument("--max-rounds", type=int, help="(default 50)")
-    p.add_argument("--tol", type=float, help="(default 1e-06)")
+                   help=f"per-hop damping factor (default {default.damping})")
+    p.add_argument("--threshold", type=float, help="storage threshold on positive "
+                   f"inferred trust (default {default.store_threshold})")
+    p.add_argument("--max-rounds", type=int, help=f"(default {default.max_rounds})")
+    p.add_argument("--tol", type=float, help=f"(default {default.tolerance})")
     p.add_argument("--snapshot", help="snapshot file to write (propagate) or reuse")
 
 

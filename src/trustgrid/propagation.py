@@ -8,19 +8,16 @@ target those tables mention. Every node rebuilds its whole table in every
 round, and `propagate` is nothing but repeated rounds until the largest value
 change drops below a tolerance.
 
-A round sums only the targets it could store. When no entry is negative and
-M is the largest value held at hops >= 2, a target that none of x's positive
-neighbours holds at hops 1 is averaged from values in [0, M] alone, so its
-average lies in [0, damping * M]; when that bound, widened by the rounding
-error run_round derives, is below the storage threshold, the rule discards
-such a target and it is never summed. With the defaults every inferred value
-is at most 0.8, and 0.8 * 0.8 = 0.64 < 0.7. The targets x then sums, its
-neighbours' direct targets less x and its own, depend on the trust adjacency
-alone, so each Dataset indexes them once, with the positions of the ones
-each neighbour can hold; a bounded round reads only those neighbour
-entries. A round whose tables hold anything else, as they can after an
-unbounded round, sums every target. The stored tables are the same, bit for
-bit, as when every target is averaged.
+`propagate` sums only the targets it could store, and decides which once per
+run, from the trust graph and the config: when no edge is negative and a
+bound on the averages (see _bounded_index) proves that a target none of x's
+positive neighbours holds at hops 1 is never stored, as with the defaults
+(0.8 * 0.8 < 0.7), x sums only its neighbours' direct targets less itself
+and its own. Those depend on the trust adjacency alone, so each Dataset
+indexes them once, with the positions of the ones each neighbour can hold,
+and every round of the run reads only those neighbour entries. Otherwise,
+and always in run_round, which takes any state, every target is summed. The
+stored tables are the same, bit for bit, either way.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -111,17 +108,14 @@ def _node_sums(neighbours, tables, damping):
 
 
 class _Index(NamedTuple):
-    """What a bounded round reads of a Dataset's trust adjacency, keyed by
+    """What a bounded run reads of a Dataset's trust adjacency, keyed by
     user. ys[x] is the union of x's positive neighbours' direct targets, less
     x and x's own direct targets: the targets x sums under the bound."""
 
-    direct: dict[int, list[int]]          # x's direct targets, ascending
     ys: dict[int, tuple[int, ...]]        # ascending
     positions: dict[int, list]            # one bytes or array per positive
     # neighbour i of x, in ascending i: the positions in ys[x] of the
-    # targets i can hold, direct[i] and ys[i]
-    degree: int                           # k, the largest positive out-degree
-    min_weight: float                     # w_min, the smallest positive weight
+    # targets i can hold, its direct targets and ys[i]
 
 
 def _build_index(dataset: Dataset) -> _Index:
@@ -145,53 +139,58 @@ def _build_index(dataset: Dataset) -> _Index:
         positions[x] = [
             pack(sorted(at[y] for y in (*direct[i], *ys[i]) if y in at))
             for i, _ in positive_out.get(x, ())]
-    weights = [w for edges in positive_out.values() for _, w in edges]
-    return _Index(direct, ys, positions,
-                  max(map(len, positive_out.values()), default=0),
-                  min(weights, default=math.inf))
+    return _Index(ys, positions)
 
 
-def _bounded_index(tables, dataset, config):
-    """The Dataset's index when the round's bound (see run_round) proves
-    unstorable every target outside ys and the tables hold only what the
-    index names, else None.
+def _bounded_index(dataset: Dataset, config: PropagationConfig):
+    """The Dataset's index when no round of a run from init_network can
+    store a target outside it, else None; it returns before building the
+    index otherwise, so signed runs, and binary ones at d = 0.9, never do.
 
-    One scan of the tables finds the hops-1 targets and M, the largest value
-    held at hops >= 2; it gives up at the first entry that is not >= 0,
-    before the index is built, so a run whose tables hold negative trust
-    never builds it.
+    Let d be the damping, u = 2^-53, k the largest positive out-degree and
+    w_min the smallest positive weight. If the values a node averages lie in
+    [0, M], its computed average is +0.0, -0.0 or positive and at most
+    B(M) = d*M*(1 + 4(k+1)u) + (k+1)(1+M)*2^-1073/w_min: each product
+    w*d*v rounds up by a factor of at most (1+u)^2 plus, below the normal
+    range, (1+M)*2^-1074; num's at most k-1 additions of non-negative terms
+    add a factor (1+u)^(k-1) and no underflow error; den, a sum of at most
+    k weights, is at least (1-u)^(k-1) times its exact value, which is at
+    least w_min; the division adds a factor (1+u) and 2^-1075; and
+    (1+u)^(k+2)/(1-u)^(k-1) <= 1 + 4(k+1)u. widened(M) doubles both
+    margins, so the roundings of its own sum cannot undercut B(M); with no
+    positive edge w_min is inf and there is nothing to sum.
+
+    Let no edge be negative, W be the largest trust value, M* = widened(W)
+    and widened(M*) < threshold. By induction every round's tables hold
+    their owners' direct entries at hops 1 and otherwise only targets in
+    their ys, at hops 2 and at most M*, as init_network's do. Given that,
+    x averages a target in ys(x) from values in [0, max(W, M*)]: at most
+    B(W) <= M* if M* <= W, else at most B(M*) < threshold, which the
+    storage rule (`0.0 <= value < threshold`) discards; a neighbour holds
+    it at hops 1, so it is stored at hops 2. Any other target but x and
+    its direct targets no positive neighbour holds at hops 1, so x
+    averages it from inferred values in [0, M*] to at most B(M*) and
+    discards it. So x may sum only ys(x), reading of each neighbour i only
+    its direct targets and ys(i), all that i's table can hold, in the same
+    order as summing every target: every stored value and hops is the
+    same, bit for bit.
     """
-    held = []
-    top = 0.0
-    for owner, table in tables.items():
-        targets = []
-        for y, (trust, hops) in table.items():
-            if not trust >= 0.0:
-                return None  # negative (or NaN): the average has no lower bound
-            if hops == 1:
-                targets.append(y)
-            elif trust > top:
-                top = trust
-        held.append((owner, targets, table))
-    index = dataset._propagation_index
-    if index is None:
-        index = dataset._propagation_index = _build_index(dataset)
-    # twice run_round's 4(k+1)u and (k+1)(1+M)*2^-1073/w_min, so the four
-    # roundings of this check cannot undercut them; with no positive edge
-    # w_min is inf and there is nothing to sum
-    k = index.degree
-    bound = (config.damping * top * (1.0 + 8 * (k + 1) * 2.0 ** -53)
-             + (k + 1) * (1.0 + top) / index.min_weight * 2.0 ** -1072)
-    if not bound < config.store_threshold:
+    adjacency = dataset.trust_adjacency
+    values = [v for edges in adjacency.out.values() for _, v in edges]
+    if min(values, default=0.0) < 0.0:
         return None
-    # every table must hold its own trust edges at hops 1 and nothing that
-    # the index does not name, as after init_network or a bounded round; an
-    # unbounded round can store targets farther away
-    for owner, targets, table in held:
-        if (targets != index.direct.get(owner)
-                or not (table.keys() - targets).issubset(index.ys[owner])):
-            return None
-    return index
+    k = max(map(len, adjacency.positive_out.values()), default=0)
+    min_weight = min((v for v in values if v > 0.0), default=math.inf)
+
+    def widened(top):
+        return (config.damping * top * (1.0 + 8 * (k + 1) * 2.0 ** -53)
+                + (k + 1) * (1.0 + top) / min_weight * 2.0 ** -1072)
+
+    if not widened(widened(max(values, default=0.0))) < config.store_threshold:
+        return None
+    if dataset._propagation_index is None:
+        dataset._propagation_index = _build_index(dataset)
+    return dataset._propagation_index
 
 
 def _indexed_sums(x, neighbours, tables, damping, index):
@@ -212,53 +211,11 @@ def _indexed_sums(x, neighbours, tables, damping, index):
     return zip(ys, zip(num, den, repeat(1)))
 
 
-def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
-    """One synchronous round: every node rebuilds its table from the round-k
-    tables.
-
-    A node keeps its direct entries and infers every other target its
-    positive neighbours' tables hold, except itself and positive values
-    below the storage threshold. Returns (new_state, max_change,
-    entries_added). max_change is the largest absolute difference between an
-    inferred entry's old and new value, where appearing/disappearing entries
-    count as change from/to 0.
-
-    Only the targets that can be stored are summed. Suppose no entry of the
-    round-k tables is negative, and let M be the largest value held at hops
-    >= 2 and d the damping. Every contribution to a target y that none of
-    x's positive neighbours holds at hops 1 is w * d * v with 0 <= v <= M,
-    so y's exact average lies in [0, d*M]. Computed in floats, with
-    u = 2^-53, k the graph's largest positive out-degree and w_min its
-    smallest positive weight: each product w*d*v rounds up by a factor of at
-    most (1+u)^2 plus, below the normal range, (1+M)*2^-1074; num's at most
-    k-1 additions of non-negative terms add a factor (1+u)^(k-1) and no
-    underflow error; den, a sum of at most k weights, is at least
-    (1-u)^(k-1) times its exact value, which is at least w_min; the division
-    adds a factor (1+u) and 2^-1075. As (1+u)^(k+2)/(1-u)^(k-1) <= 1 +
-    4(k+1)u, the computed value is at most
-    d*M*(1 + 4(k+1)u) + (k+1)(1+M)*2^-1073/w_min,
-    and it is +0.0, -0.0 or positive. When that bound is below the threshold
-    the storage rule (`0.0 <= value < threshold`) discards y whatever its
-    sum, so each node sums only ys(x), the union of its positive neighbours'
-    hops-1 targets, less itself and its own direct targets; otherwise (a
-    negative entry, threshold 0, or d*M too close to the threshold) it sums
-    every target. With the defaults every inferred value is at most 0.8, so
-    d*M <= 0.64 < 0.7.
-
-    ys(x) depends on the trust adjacency alone, so it is built once per
-    Dataset, together with, for each positive neighbour i, the positions in
-    ys(x) of the targets i can hold: its direct targets and ys(i). A bounded
-    round reads only those entries of i's table. That covers every entry it
-    needs while each table holds its direct targets at hops 1 and nothing
-    outside them and its ys, as after init_network or a bounded round; when
-    an unbounded round or a state built by hand breaks this, the round sums
-    every target. Every target summed under the bound is held at hops 1 by a
-    neighbour, so it is stored at hops 2. Either way every stored value and
-    hops is the same, bit for bit.
-    """
+def _round(state, dataset, config, index):
+    """run_round's round; given the index _bounded_index returns for a run
+    from init_network, each node sums only the targets the index names."""
     tables = state.tables
     adjacency = dataset.trust_adjacency
-    index = _bounded_index(tables, dataset, config)
     damping = config.damping
     threshold = config.store_threshold
     new_tables = {}
@@ -266,7 +223,11 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     entries_added = 0
 
     for x, old in tables.items():
-        entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
+        try:
+            entries = {t: old[t] for t, _ in adjacency.out.get(x, ())}
+        except KeyError as missing:
+            raise ValueError(f"user {x}'s table lacks its direct trust entry "
+                             f"for {missing.args[0]}") from None
         neighbours = adjacency.positive_out.get(x, ())
         if index is None:
             sums = _node_sums(neighbours, tables, damping)
@@ -297,14 +258,36 @@ def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
     return next_state, max_change, entries_added
 
 
+def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
+    """One synchronous round: every node rebuilds its table from the round-k
+    tables.
+
+    A node keeps its direct entries and infers every other target its
+    positive neighbours' tables hold, except itself and positive values
+    below the storage threshold. Returns (new_state, max_change,
+    entries_added). max_change is the largest absolute difference between an
+    inferred entry's old and new value, where appearing/disappearing entries
+    count as change from/to 0.
+
+    It sums every target, so it is exact on any state, hand-made ones
+    included; propagate's rounds store the same tables while summing fewer
+    targets when it can (see _bounded_index). ValueError when a table lacks
+    one of its owner's direct entries.
+    """
+    return _round(state, dataset, config, None)
+
+
 def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> NetworkState:
-    """init_network, then run_round until max_change <= tolerance or
-    max_rounds rounds have run."""
+    """init_network, then rounds until max_change <= tolerance or max_rounds
+    rounds have run. Every round equals run_round on the previous state;
+    whether they may sum only the index's targets is decided once, before
+    the first round, by _bounded_index."""
     if config is None:
         config = PropagationConfig()
     state = init_network(dataset)
+    index = _bounded_index(dataset, config)
     for _ in range(config.max_rounds):
-        state, max_change, _ = run_round(state, dataset, config)
+        state, max_change, _ = _round(state, dataset, config, index)
         if max_change <= config.tolerance:
             state.converged = True
             break

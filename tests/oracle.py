@@ -5,7 +5,8 @@ all ordered user pairs with plain nested loops and no per-node table or
 message-passing structure, as a cross-check for the distributed simulator.
 `reference_round` is one synchronous round on its definition: every node
 averages every target its neighbours' tables hold, then filters, as a
-bit-for-bit check of `run_round`, which sums only the targets it can store.
+bit-for-bit check of `run_round` and of the rounds of `propagate`, which
+sums only the targets it can store.
 """
 
 import random

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import struct
+from dataclasses import replace
 
 import pytest
 from pytest import approx
@@ -157,10 +158,10 @@ def test_propagate_deterministic():
 
 
 def test_propagate_matches_run_round_sequence(monkeypatch):
-    # propagate equals stepping run_round by hand, bit for bit: on the
-    # signed graphs at threshold 0.25 most rounds sum every target; on
-    # binary graphs with the defaults every round takes the index, and
-    # propagate builds its own
+    # propagate equals stepping run_round by hand, bit for bit, though
+    # run_round always sums every target: on the signed graphs at threshold
+    # 0.25 propagate mostly does too; on binary graphs with the defaults
+    # every round of propagate takes the index, and propagate builds its own
     rng = random.Random(13)
     runs = [(random_graph(rng, max_nodes=8)[1],
              PropagationConfig(store_threshold=0.25, max_rounds=12), None)
@@ -178,8 +179,11 @@ def test_propagate_matches_run_round_sequence(monkeypatch):
             if change <= config.tolerance:
                 state.converged = True
                 break
-        assert kernel is None or set(seen) == {kernel}
+        assert set(seen) <= {"full"}
+        seen.clear()
         got = propagate(edges_dataset(edges), config)
+        if kernel is not None:
+            assert seen == [kernel] * (got.round * len(got.tables))
         assert (got.round, got.converged) == (state.round, state.converged)
         assert bits(got.tables) == bits(state.tables)
 
@@ -312,10 +316,9 @@ def assert_rounds_match_reference(state, ds, config, rounds):
 
 @pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters"])
 def test_run_round_matches_reference_round(kind):
-    # run_round sums only the targets it can store; the reference averages
+    # run_round sums every target in its own kernel; the reference averages
     # every target and then filters, so they must agree bit for bit,
-    # including thresholds at, just above and just below damping^2, the
-    # bound on binary graphs
+    # including thresholds at, just above and just below damping^2
     rng = random.Random(kind)
     for _ in range(12):
         ds = valued_graph(rng, kind, rng.randint(3, 14))
@@ -325,6 +328,57 @@ def test_run_round_matches_reference_round(kind):
                           min(1.0, d2 * (1 + 1e-12)), 0.7, 0.0):
             config = PropagationConfig(damping=damping, store_threshold=threshold)
             assert_rounds_match_reference(init_network(ds), ds, config, 10)
+
+
+def assert_propagate_matches_reference(ds, config, rounds=10):
+    """propagate with max_rounds r, for r = 1..rounds, equals r reference
+    rounds bit for bit, or as many as it ran before it converged."""
+    history = [init_network(ds).tables]
+    changes = []
+    for _ in range(rounds):
+        tables, change, _ = reference_round(history[-1], ds, config.damping,
+                                            config.store_threshold)
+        history.append(tables)
+        changes.append(change)
+    for r in range(1, rounds + 1):
+        got = propagate(ds, replace(config, max_rounds=r))
+        stop = next((n for n, change in enumerate(changes[:r], 1)
+                     if change <= config.tolerance), r)
+        assert got.round == stop
+        assert got.converged == (changes[stop - 1] <= config.tolerance)
+        assert bits(got.tables) == bits(history[stop])
+
+
+def subnormal_graph():
+    # 0's only weight, 5e-324, rounds w * 0.8 * v up to w, so 0 stores the
+    # values 1 holds undamped: 1.0 for 2 in round 1, then 0.8 for 3, which 1
+    # holds at hops 2. Only the bound's underflow term keeps propagate from
+    # the index, which would never sum 3 for 0
+    return Dataset([], [(0, 1, 5e-324), (1, 2, 1.0), (2, 3, 1.0)])
+
+
+@pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters"])
+def test_propagate_matches_reference_rounds(monkeypatch, kind):
+    # propagate decides once per run whether every round may sum only the
+    # index's targets, from W, the largest trust value, and the config; its
+    # bound is tightest at threshold fl(d * fl(d * W)), so every run at it,
+    # one ulp above and one ulp below must agree with the reference bit for
+    # bit, whichever kernel it takes
+    rng = random.Random(kind)
+    runs = [(valued_graph(rng, kind, rng.randint(3, 14)),
+             rng.choice((0.8, 1.0, 0.5, rng.uniform(0.3, 1.0))))
+            for _ in range(8)]
+    if kind == "positive":
+        runs.append((subnormal_graph(), 0.8))
+    seen = record_kernels(monkeypatch)
+    for ds, damping in runs:
+        top = max((v for _, _, v in ds.trust_edge_list()), default=0.0)
+        edge = damping * (damping * max(top, 0.0))
+        for threshold in (edge, math.nextafter(edge, 1.0),
+                          math.nextafter(edge, 0.0), 0.7):
+            config = PropagationConfig(damping=damping, store_threshold=threshold)
+            assert_propagate_matches_reference(ds, config)
+    assert set(seen) == ({"full"} if kind == "signed" else {"full", "indexed"})
 
 
 def hand_state(tables):
@@ -347,8 +401,8 @@ def test_run_round_matches_reference_on_hand_made_states(tables):
 
 def test_run_round_bound_covers_subnormal_weights():
     # a weight of 5e-324 rounds w * 0.8 * 0.85 up to w, so the computed
-    # average is 1.0 although the exact one is 0.68 < 0.7: only the bound's
-    # underflow term keeps this target summed
+    # average is 1.0 although the exact one is 0.68 < 0.7: a round that
+    # pruned by the exact average would drop this target
     ds = Dataset([], [(0, 1, 5e-324), (1, 2, 1.0)], users=[3])
     tables = {0: {1: (5e-324, 1)}, 1: {2: (1.0, 1), 3: (0.85, 2)}, 2: {}, 3: {}}
     assert_rounds_match_reference(hand_state(tables), ds, PropagationConfig(), 1)
@@ -358,8 +412,8 @@ def test_run_round_bound_covers_subnormal_weights():
 
 def test_run_round_bound_covers_rounding():
     # two contributions of 0.8 * M each average to one ulp above the
-    # product 0.8 * M; at that threshold only the bound's rounding margin
-    # keeps the target summed
+    # product 0.8 * M; at that threshold a round that pruned by the product
+    # would drop this target
     w1, w2, top = 0.7559893274013729, 0.9007966249094171, 0.5687853183810455
     ds = Dataset([], [(0, 1, w1), (0, 2, w2)], users=[3])
     tables = {0: {1: (w1, 1), 2: (w2, 1)}, 1: {3: (top, 2)}, 2: {3: (top, 2)},
@@ -372,9 +426,17 @@ def test_run_round_bound_covers_rounding():
     assert state.tables[0][3] == (value, 3)
 
 
+def test_run_round_refuses_a_table_without_its_direct_entries():
+    ds = Dataset([], [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
+    tables = {0: {1: (1.0, 1), 2: (1.0, 1)}, 1: {}, 2: {}, 3: {}}
+    with pytest.raises(ValueError,
+                       match="user 2's table lacks its direct trust entry for 3"):
+        run_round(hand_state(tables), ds, PropagationConfig())
+
+
 def record_kernels(monkeypatch):
-    """The kernel each node of each later run_round sums with, in call
-    order: "full" (_node_sums) or "indexed" (_indexed_sums)."""
+    """The kernel each node of each later round sums with, in call order:
+    "full" (_node_sums) or "indexed" (_indexed_sums)."""
     seen = []
     for name, label in (("_node_sums", "full"), ("_indexed_sums", "indexed")):
         def recording(*args, kernel=getattr(propagation, name), label=label):
@@ -382,6 +444,15 @@ def record_kernels(monkeypatch):
             return kernel(*args)
         monkeypatch.setattr(propagation, name, recording)
     return seen
+
+
+def record_builds(monkeypatch):
+    """The Datasets _build_index is called on from now on, in call order."""
+    built = []
+    build = propagation._build_index
+    monkeypatch.setattr(propagation, "_build_index",
+                        lambda dataset: built.append(dataset) or build(dataset))
+    return built
 
 
 def binary_graph(seed=3, n=30):
@@ -398,54 +469,62 @@ def binary_graph(seed=3, n=30):
                     (2, 0): -0.5}), PropagationConfig(), False),
 ])
 def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, indexed):
-    # the first round, from direct entries alone, is bounded at damping 0.9
-    # too, so the cases differ from the second round on
-    state, _, _ = run_round(init_network(ds), ds, config)
+    # propagate chooses the kernel once per run, so either every round of
+    # it takes the index or none does, and it builds the index only then;
+    # run_round, before or after, neither builds nor reads it
     seen = record_kernels(monkeypatch)
-    for _ in range(3):
-        state, _, _ = run_round(state, ds, config)
-    assert len(seen) == 3 * len(state.tables)
-    assert set(seen) == {"indexed" if indexed else "full"}
+    built = record_builds(monkeypatch)
+    run_round(init_network(ds), ds, config)
+    assert set(seen) == {"full"} and built == []
+    seen.clear()
+    state = propagate(ds, replace(config, max_rounds=4))
+    assert state.round >= 2
+    assert seen == (["indexed" if indexed else "full"]
+                    * (state.round * len(state.tables)))
+    assert built == ([ds] if indexed else [])
+    seen.clear()
+    run_round(state, ds, config)
+    assert set(seen) == {"full"}
 
 
 def test_run_round_switching_kernels_matches_reference_round(monkeypatch):
-    # at damping 0.9 the first round, from direct entries alone, is bounded,
-    # and the 0.9s it stores make the next one unbounded; on the cycle
-    # 0 -> 1, 2 <-> 3, 2 -> 0, 3 -> 0 the entries of 2 and 3 for 1 then fall
-    # from 0.9 towards 9/11 and the rounds are bounded again. At, one ulp
-    # above and one ulp below damping^2 every round of every run must agree
-    # with the reference bit for bit, whichever kernel it takes
+    # at damping 0.9 a round from direct entries alone is bounded, and the
+    # 0.9s it stores make the next one unbounded; on the cycle 0 -> 1,
+    # 2 <-> 3, 2 -> 0, 3 -> 0 the entries of 2 and 3 for 1 then fall from
+    # 0.9 towards 9/11 and the rounds are bounded again. propagate's bound
+    # must hold for every round of a run, so it fails at 0.9 on binary
+    # graphs, whose runs sum every target from round 1; no run switches
+    # kernel. At, one ulp above and one ulp below damping^2 every round of
+    # run_round and every propagate must agree with the reference bit for bit
     rng = random.Random("switch")
     graphs = [Dataset([], [(0, 1, 1.0), (2, 0, 1.0), (2, 3, 1.0), (3, 0, 1.0),
                            (3, 2, 1.0)])]
     graphs += [valued_graph(rng, kind, rng.randint(4, 14))
                for kind in ("binary", "positive") for _ in range(8)]
     seen = record_kernels(monkeypatch)
-    switches = set()
     d2 = 0.9 * 0.9
     for ds in graphs:
+        binary = {v for _, _, v in ds.trust_edge_list()} == {1.0}
         for threshold in (d2, math.nextafter(d2, 1.0), math.nextafter(d2, 0.0)):
             config = PropagationConfig(damping=0.9, store_threshold=threshold)
-            state = init_network(ds)
-            kernels = []
-            for _ in range(8):
-                seen.clear()
-                state = step_matches_reference(state, ds, config)
-                assert len(set(seen)) == 1
-                kernels.append(seen[0])
-            switches.update(zip(kernels, kernels[1:]))
-    assert {("indexed", "full"), ("full", "indexed")} <= switches
+            assert_rounds_match_reference(init_network(ds), ds, config, 8)
+            seen.clear()
+            assert_propagate_matches_reference(ds, config, 8)
+            assert len(set(seen)) == 1
+            assert not binary or seen[0] == "full"
 
 
 @pytest.mark.parametrize("tables", [
     # 1 holds 3, outside its direct targets and its (empty) ys: the index
     # would sum 0's entry for 3 from 2 alone, 0.8, instead of 0.6
     {0: {1: (1.0, 1), 2: (1.0, 1)}, 1: {3: (0.5, 2)}, 2: {3: (1.0, 1)}, 3: {}},
-    # 2 holds its trust in 3 at hops 2, so it lacks its direct entry for 3
+    # 2 holds its trust in 3 at hops 2, not as the direct entry it lacks
     {0: {1: (1.0, 1), 2: (1.0, 1)}, 1: {3: (0.5, 2)}, 2: {3: (0.5, 2)}, 3: {}},
 ], ids=["key-outside-ys", "direct-entry-missing"])
 def test_run_round_falls_back_on_states_the_index_does_not_cover(monkeypatch,
                                                                  tables):
+    # no run of propagate reaches these states; run_round sums every target
+    # on them, as on any state
     ds = Dataset([], [(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0)])
     config = PropagationConfig()
     seen = record_kernels(monkeypatch)
