@@ -116,8 +116,9 @@ class Dataset:
             if v > 0.0:
                 positive_out.setdefault(s, []).append((t, v))
                 positive_in.setdefault(t, []).append((s, v))
-        # propagation's index of trust_adjacency, built by the first
-        # propagate run that may use it (see propagation._bounded_index)
+        # propagation's index of trust_adjacency (its rows' slot pairs),
+        # built by the first propagate round that may use it (see
+        # propagation._bounded_index)
         self._propagation_index = None
 
     # -- counts -----------------------------------------------------------

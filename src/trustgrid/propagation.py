@@ -14,10 +14,13 @@ bound on the averages (see _bounded_index) proves that a target none of x's
 positive neighbours holds at hops 1 is never stored, as with the defaults
 (0.8 * 0.8 < 0.7), x sums only its neighbours' direct targets less itself
 and its own. Those depend on the trust adjacency alone, so each Dataset
-indexes them once, with the positions of the ones each neighbour can hold,
-and every round of the run reads only those neighbour entries. Otherwise,
-and always in run_round, which takes any state, every target is summed. The
-stored tables are the same, bit for bit, either way.
+indexes them once, and such a run keeps each node's values in a row, a
+list with one slot per direct target and per indexed target, instead of a
+table: every round sums each slot from the neighbour slots the index pairs
+with it, and the tables are built once, from the last rows. Otherwise, and
+always in run_round, which takes any state, every round rebuilds the tables
+and sums every target. The stored tables are the same, bit for bit, either
+way.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -32,8 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import partial
-from itertools import repeat
+from itertools import islice, repeat
 from typing import NamedTuple
 
 from .model import Dataset, UnknownUserError
@@ -110,15 +112,30 @@ def _node_sums(neighbours, tables, damping):
 class _Index(NamedTuple):
     """What a bounded run reads of a Dataset's trust adjacency, keyed by
     user. ys[x] is the union of x's positive neighbours' direct targets, less
-    x and x's own direct targets: the targets x sums under the bound."""
+    x and x's own direct targets: the targets x sums under the bound. x's
+    row is its direct targets, in adjacency order, then ys[x]; a bounded
+    run keeps one value per slot of it, None for a target x does not store.
+    """
 
     ys: dict[int, tuple[int, ...]]        # ascending
-    positions: dict[int, list]            # one bytes or array per positive
-    # neighbour i of x, in ascending i: the positions in ys[x] of the
-    # targets i can hold, its direct targets and ys[i]
+    pairs: dict[int, list]                # one (slots in ys[x], slots in
+    # i's row) pair of narrow integer arrays per positive neighbour i of x,
+    # in ascending i: one slot pair per target of i's row that is in ys[x]
+
+
+def _narrow(slots, size):
+    """`slots`, each below `size`, as bytes when any such slot fits a byte,
+    else as the narrowest array that holds them."""
+    if size <= 256:
+        return bytes(slots)
+    return array("H" if size <= 65536 else "L", slots)
 
 
 def _build_index(dataset: Dataset) -> _Index:
+    """The _Index of a Dataset's trust adjacency, which _bounded_index
+    caches on Dataset._propagation_index. Which slot of x's ys each slot of
+    a neighbour's row feeds depends on the adjacency alone, so a bounded
+    round finds it here instead of by target in a table."""
     out = dataset.trust_adjacency.out
     positive_out = dataset.trust_adjacency.positive_out
     direct = {x: [t for t, _ in out.get(x, ())] for x in dataset.users}
@@ -128,18 +145,17 @@ def _build_index(dataset: Dataset) -> _Index:
         reach.discard(x)
         reach.difference_update(direct[x])
         ys[x] = tuple(sorted(reach))
-    positions = {}
+    rows = {x: (*direct[x], *ys[x]) for x in dataset.users}
+    pairs = {}
     for x, targets in ys.items():
         at = {y: p for p, y in enumerate(targets)}
-        # one byte per position while they fit, else the narrowest array
-        if len(targets) <= 256:
-            pack = bytes
-        else:
-            pack = partial(array, "H" if len(targets) <= 65536 else "L")
-        positions[x] = [
-            pack(sorted(at[y] for y in (*direct[i], *ys[i]) if y in at))
-            for i, _ in positive_out.get(x, ())]
-    return _Index(ys, positions)
+        pairs[x] = []
+        for i, _ in positive_out.get(x, ()):
+            row = rows[i]
+            qs = [q for q, y in enumerate(row) if y in at]
+            pairs[x].append((_narrow([at[row[q]] for q in qs], len(targets)),
+                             _narrow(qs, len(row))))
+    return _Index(ys, pairs)
 
 
 def _bounded_index(dataset: Dataset, config: PropagationConfig):
@@ -171,9 +187,9 @@ def _bounded_index(dataset: Dataset, config: PropagationConfig):
     its direct targets no positive neighbour holds at hops 1, so x
     averages it from inferred values in [0, M*] to at most B(M*) and
     discards it. So x may sum only ys(x), reading of each neighbour i only
-    its direct targets and ys(i), all that i's table can hold, in the same
-    order as summing every target: every stored value and hops is the
-    same, bit for bit.
+    its direct targets and ys(i), all that i's table can hold (i's row),
+    in the same order as summing every target: every stored value and hops
+    is the same, bit for bit.
     """
     adjacency = dataset.trust_adjacency
     values = [v for edges in adjacency.out.values() for _, v in edges]
@@ -193,27 +209,71 @@ def _bounded_index(dataset: Dataset, config: PropagationConfig):
     return dataset._propagation_index
 
 
-def _indexed_sums(x, neighbours, tables, damping, index):
-    """(y, (num, den, 1)) for each y in index.ys[x]: its sums as _node_sums
-    adds them, read from only the neighbour entries the index names, and
-    the fewest hops among them, since some neighbour holds y at hops 1."""
-    ys = index.ys[x]
-    num = [0.0] * len(ys)
-    den = [0.0] * len(ys)
-    for (i, w), where in zip(neighbours, index.positions[x]):
-        scale = w * damping
-        table = tables[i]
-        for p in where:
-            entry = table.get(ys[p])
-            if entry is not None:
-                num[p] += scale * entry[0]
-                den[p] += w
-    return zip(ys, zip(num, den, repeat(1)))
+def _row_round(rows, dataset, config, index):
+    """One bounded round on rows (see _Index): (new rows, max_change,
+    entries_added), as run_round gives them for the tables the rows hold.
+
+    x sums each slot of ys[x] from the neighbour slots the index pairs with
+    it, in the order _node_sums adds them, so every stored value is the
+    same, bit for bit; every neighbour holds its direct targets, so no sum
+    is empty, and every stored entry is at hops 2."""
+    positive_out = dataset.trust_adjacency.positive_out
+    damping = config.damping
+    threshold = config.store_threshold
+    new_rows = {}
+    max_change = 0.0
+    entries_added = 0
+
+    for x, old in rows.items():
+        n = len(index.ys[x])
+        num = [0.0] * n
+        den = [0.0] * n
+        for (i, w), (ps, qs) in zip(positive_out.get(x, ()), index.pairs[x]):
+            scale = w * damping
+            row = rows[i]
+            for p, q in zip(ps, qs):
+                trust = row[q]
+                if trust is not None:
+                    num[p] += scale * trust
+                    den[p] += w
+        d = len(old) - n
+        new = old[:d]  # direct values
+        for prev, total, weight in zip(islice(old, d, None), num, den):
+            value = total / weight
+            if 0.0 <= value < threshold:  # too weak to store
+                new.append(None)
+                if prev is not None and abs(prev) > max_change:
+                    max_change = abs(prev)
+                continue
+            new.append(value)
+            if prev is None:
+                entries_added += 1
+                change = abs(value)
+            else:
+                change = abs(prev - value)
+            if change > max_change:
+                max_change = change
+        new_rows[x] = new
+
+    return new_rows, max_change, entries_added
 
 
-def _round(state, dataset, config, index):
-    """run_round's round; given the index _bounded_index returns for a run
-    from init_network, each node sums only the targets the index names."""
+def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
+    """One synchronous round: every node rebuilds its table from the round-k
+    tables.
+
+    A node keeps its direct entries and infers every other target its
+    positive neighbours' tables hold, except itself and positive values
+    below the storage threshold. Returns (new_state, max_change,
+    entries_added). max_change is the largest absolute difference between an
+    inferred entry's old and new value, where appearing/disappearing entries
+    count as change from/to 0.
+
+    It sums every target, so it is exact on any state, hand-made ones
+    included; propagate's bounded rounds store the same tables from rows
+    (see _bounded_index and _row_round). ValueError when a table lacks one
+    of its owner's direct entries.
+    """
     tables = state.tables
     adjacency = dataset.trust_adjacency
     damping = config.damping
@@ -228,15 +288,10 @@ def _round(state, dataset, config, index):
         except KeyError as missing:
             raise ValueError(f"user {x}'s table lacks its direct trust entry "
                              f"for {missing.args[0]}") from None
-        neighbours = adjacency.positive_out.get(x, ())
-        if index is None:
-            sums = _node_sums(neighbours, tables, damping)
-            for y in (x, *entries):  # self and direct targets are not inferred
-                sums.pop(y, None)
-            sums = sums.items()
-        else:
-            sums = _indexed_sums(x, neighbours, tables, damping, index)
-        for y, (num, den, hops) in sums:
+        sums = _node_sums(adjacency.positive_out.get(x, ()), tables, damping)
+        for y in (x, *entries):  # self and direct targets are not inferred
+            sums.pop(y, None)
+        for y, (num, den, hops) in sums.items():
             value = num / den
             if 0.0 <= value < threshold:
                 continue  # too weak to store
@@ -258,39 +313,47 @@ def _round(state, dataset, config, index):
     return next_state, max_change, entries_added
 
 
-def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
-    """One synchronous round: every node rebuilds its table from the round-k
-    tables.
-
-    A node keeps its direct entries and infers every other target its
-    positive neighbours' tables hold, except itself and positive values
-    below the storage threshold. Returns (new_state, max_change,
-    entries_added). max_change is the largest absolute difference between an
-    inferred entry's old and new value, where appearing/disappearing entries
-    count as change from/to 0.
-
-    It sums every target, so it is exact on any state, hand-made ones
-    included; propagate's rounds store the same tables while summing fewer
-    targets when it can (see _bounded_index). ValueError when a table lacks
-    one of its owner's direct entries.
-    """
-    return _round(state, dataset, config, None)
-
-
 def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> NetworkState:
     """init_network, then rounds until max_change <= tolerance or max_rounds
-    rounds have run. Every round equals run_round on the previous state;
-    whether they may sum only the index's targets is decided once, before
-    the first round, by _bounded_index."""
+    rounds have run. Every round equals run_round on the previous state.
+    Before the first round, _bounded_index decides once whether every round
+    may sum only the index's targets; if so, the rounds run on rows (see
+    _Index) and the tables are built from the last rows, in init_network's
+    owner order with each table's direct entries first, then its stored
+    targets in ascending order."""
     if config is None:
         config = PropagationConfig()
+    # at max_rounds 0 no round would read the index, so none is built
+    index = _bounded_index(dataset, config) if config.max_rounds else None
+    if index is not None:
+        return _propagate_rows(dataset, config, index)
     state = init_network(dataset)
-    index = _bounded_index(dataset, config)
     for _ in range(config.max_rounds):
-        state, max_change, _ = _round(state, dataset, config, index)
+        state, max_change, _ = run_round(state, dataset, config)
         if max_change <= config.tolerance:
             state.converged = True
             break
+    return state
+
+
+def _propagate_rows(dataset, config, index):
+    """propagate's rounds when _bounded_index holds, on rows that start
+    out as init_network's tables do, with the direct values alone."""
+    out = dataset.trust_adjacency.out
+    rows = {x: [*(v for _, v in out.get(x, ())), *repeat(None, len(ys))]
+            for x, ys in sorted(index.ys.items())}
+    state = NetworkState({})
+    for _ in range(config.max_rounds):
+        rows, max_change, _ = _row_round(rows, dataset, config, index)
+        state.round += 1
+        if max_change <= config.tolerance:
+            state.converged = True
+            break
+    for x, row in rows.items():
+        table = state.tables[x] = {t: (v, 1) for t, v in out.get(x, ())}
+        for y, value in zip(index.ys[x], islice(row, len(table), None)):
+            if value is not None:
+                table[y] = (value, 2)
     return state
 
 

@@ -2,6 +2,7 @@ import copy
 import math
 import random
 import struct
+from array import array
 from dataclasses import replace
 
 import pytest
@@ -161,13 +162,13 @@ def test_propagate_matches_run_round_sequence(monkeypatch):
     # propagate equals stepping run_round by hand, bit for bit, though
     # run_round always sums every target: on the signed graphs at threshold
     # 0.25 propagate mostly does too; on binary graphs with the defaults
-    # every round of propagate takes the index, and propagate builds its own
+    # every round of propagate runs on rows, and propagate builds its own
     rng = random.Random(13)
     runs = [(random_graph(rng, max_nodes=8)[1],
              PropagationConfig(store_threshold=0.25, max_rounds=12), None)
             for _ in range(20)]
     runs += [({(s, t): v for s, t, v in binary_graph(seed, n).trust_edge_list()},
-              PropagationConfig(max_rounds=12), "indexed")
+              PropagationConfig(max_rounds=12), "rows")
              for seed, n in ((3, 30), (4, 12), (5, 8), (6, 20))]
     seen = record_kernels(monkeypatch)
     for edges, config, kernel in runs:
@@ -183,7 +184,7 @@ def test_propagate_matches_run_round_sequence(monkeypatch):
         seen.clear()
         got = propagate(edges_dataset(edges), config)
         if kernel is not None:
-            assert seen == [kernel] * (got.round * len(got.tables))
+            assert seen == [kernel] * got.round
         assert (got.round, got.converged) == (state.round, state.converged)
         assert bits(got.tables) == bits(state.tables)
 
@@ -378,7 +379,7 @@ def test_propagate_matches_reference_rounds(monkeypatch, kind):
                           math.nextafter(edge, 0.0), 0.7):
             config = PropagationConfig(damping=damping, store_threshold=threshold)
             assert_propagate_matches_reference(ds, config)
-    assert set(seen) == ({"full"} if kind == "signed" else {"full", "indexed"})
+    assert set(seen) == ({"full"} if kind == "signed" else {"full", "rows"})
 
 
 def hand_state(tables):
@@ -435,10 +436,10 @@ def test_run_round_refuses_a_table_without_its_direct_entries():
 
 
 def record_kernels(monkeypatch):
-    """The kernel each node of each later round sums with, in call order:
-    "full" (_node_sums) or "indexed" (_indexed_sums)."""
+    """The kernels later rounds take, in call order: "full" for each node
+    that sums with _node_sums, "rows" for each round of _row_round."""
     seen = []
-    for name, label in (("_node_sums", "full"), ("_indexed_sums", "indexed")):
+    for name, label in (("_node_sums", "full"), ("_row_round", "rows")):
         def recording(*args, kernel=getattr(propagation, name), label=label):
             seen.append(label)
             return kernel(*args)
@@ -470,7 +471,7 @@ def binary_graph(seed=3, n=30):
 ])
 def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, indexed):
     # propagate chooses the kernel once per run, so either every round of
-    # it takes the index or none does, and it builds the index only then;
+    # it runs on rows or none does, and it builds the index only then;
     # run_round, before or after, neither builds nor reads it
     seen = record_kernels(monkeypatch)
     built = record_builds(monkeypatch)
@@ -479,8 +480,8 @@ def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, indexed)
     seen.clear()
     state = propagate(ds, replace(config, max_rounds=4))
     assert state.round >= 2
-    assert seen == (["indexed" if indexed else "full"]
-                    * (state.round * len(state.tables)))
+    assert seen == (["rows"] * state.round if indexed
+                    else ["full"] * (state.round * len(state.tables)))
     assert built == ([ds] if indexed else [])
     seen.clear()
     run_round(state, ds, config)
@@ -530,3 +531,111 @@ def test_run_round_falls_back_on_states_the_index_does_not_cover(monkeypatch,
     seen = record_kernels(monkeypatch)
     assert_rounds_match_reference(hand_state(tables), ds, config, 1)
     assert set(seen) == {"full"}
+
+
+def test_propagate_builds_the_index_only_for_a_round(monkeypatch):
+    # at max_rounds 0 no round reads the index, so propagate builds none
+    ds = binary_graph()
+    built = record_builds(monkeypatch)
+    assert propagate(ds, PropagationConfig(max_rounds=0)) == init_network(ds)
+    assert built == [] and ds._propagation_index is None
+    for _ in range(2):
+        propagate(ds, PropagationConfig(max_rounds=1))
+    assert built == [ds]
+
+
+def hub_graph():
+    # 1 trusts 300 users, so 0's ys, which holds them all, and 1's row both
+    # have more than 256 slots; the other users trust a few of them
+    rng = random.Random("hub")
+    edges = {(0, 1): 1.0, **{(1, t): 1.0 for t in range(2, 302)}}
+    for s in range(2, 302):
+        for t in rng.sample(range(302), 3):
+            if t != s:
+                edges[s, t] = 1.0
+    return edges_dataset(edges)
+
+
+def test_propagate_on_rows_wider_than_a_byte(monkeypatch):
+    # the bound fails at fl(d * fl(d * W)) and one ulp either side, so
+    # those runs check the full kernel on the hub; 0.65 and 0.7 run on rows
+    # whose slot pairs need two bytes
+    ds = hub_graph()
+    seen = record_kernels(monkeypatch)
+    edge = 0.8 * (0.8 * 1.0)
+    for threshold in (edge, math.nextafter(edge, 1.0),
+                      math.nextafter(edge, 0.0), 0.65, 0.7):
+        config = PropagationConfig(store_threshold=threshold)
+        seen.clear()
+        assert_propagate_matches_reference(ds, config, 4)
+        assert set(seen) == ({"rows"} if threshold >= 0.65 else {"full"})
+    index = ds._propagation_index
+    (ps, qs), = index.pairs[0]
+    assert len(index.ys[0]) > 256 and len(ps) > 256
+    assert (type(ps), ps.typecode) == (type(qs), qs.typecode) == (array, "H")
+
+
+def converging_runs(tolerance):
+    """(Dataset, config) pairs at `tolerance` whose rounds run on rows:
+    graphs of binary, positive and quarter values and, at a positive
+    tolerance, of tiny values, scaled so that their threshold lies below
+    the tolerance and the largest values they store above it: a round can
+    then drop an entry and still converge."""
+    rng = random.Random(f"converge {tolerance}")
+    kinds = ["binary", "positive", "quarters"] * 20
+    kinds += ["tiny"] * (100 if tolerance else 0)
+    runs = []
+    for kind in kinds:
+        ds = valued_graph(rng, "positive" if kind == "tiny" else kind,
+                          rng.randint(3, 12))
+        top = max((v for _, _, v in ds.trust_edge_list()), default=0.0)
+        damping = rng.choice((0.5, 0.8, 0.9, rng.uniform(0.3, 0.95)))
+        threshold = damping * top * rng.uniform(damping, 1.0)
+        if kind == "tiny" and top > 0.0:
+            # the largest stored value, about damping * top, rises above
+            # the tolerance by a factor below 1 / damping
+            scale = tolerance / (damping * top) * rng.uniform(1.0, 1.0 / damping)
+            ds = edges_dataset({(s, t): v * scale
+                                for s, t, v in ds.trust_edge_list()})
+            top *= scale
+            threshold = rng.uniform(damping * damping * top, tolerance)
+        config = PropagationConfig(damping=damping, store_threshold=threshold,
+                                   max_rounds=40, tolerance=tolerance)
+        if propagation._bounded_index(ds, config) is not None:
+            runs.append((ds, config))
+    return runs
+
+
+def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
+    # propagate's round and converged come from each row round's own
+    # max_change, which must equal run_round's, as must entries_added,
+    # including in a round that converges though it drops an entry
+    row_rounds = []
+    row_round = propagation._row_round
+    monkeypatch.setattr(propagation, "_row_round", lambda *args: (
+        row_rounds.append(row_round(*args)) or row_rounds[-1]))
+    converged = {0.0: 0, 1e-6: 0, 1e-3: 0}
+    dropped_as_it_converged = 0
+    for tolerance in converged:
+        for ds, config in converging_runs(tolerance):
+            state = init_network(ds)
+            steps = []
+            for _ in range(config.max_rounds):
+                previous = state
+                state, change, added = run_round(state, ds, config)
+                steps.append((struct.pack("<d", change), added))
+                if change <= tolerance:
+                    state.converged = True
+                    break
+            if state.converged and state.round > 1:
+                converged[tolerance] += 1
+                dropped_as_it_converged += bool(inferred_map(previous).keys()
+                                                - inferred_map(state).keys())
+            row_rounds.clear()
+            got = propagate(ds, config)
+            assert [(struct.pack("<d", change), added)
+                    for _, change, added in row_rounds] == steps
+            assert (got.round, got.converged) == (state.round, state.converged)
+            assert bits(got.tables) == bits(state.tables)
+    assert min(converged.values()) >= 20
+    assert dropped_as_it_converged > 0
