@@ -286,10 +286,6 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     user's trust edges. StaleSnapshotError when the snapshot's damping,
     storage threshold, round or entries do not fit this run. Every line is
     checked before any table, so a line's defect is reported first."""
-    def stale(user):
-        return StaleSnapshotError(
-            f"{path}: direct trust of user {user} differs from the trust input")
-
     edges = init_network(dataset).tables
     state = NetworkState({user: {} for user in edges})
     tables = state.tables
@@ -337,9 +333,11 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
                 raise ParseError(line_no, f"trust value {trust} outside [-1,1]")
             if owner == target:
                 raise ParseError(line_no, f"self entry of user {owner}")
-            table = tables.get(owner)
-            if table is None or target not in tables:
-                raise stale(owner if table is None else target)
+            for user in (owner, target):
+                if user not in tables:
+                    raise StaleSnapshotError(f"{path}: line {line_no}: user "
+                                             f"{user} is not in this run's input")
+            table = tables[owner]
             if target in table:
                 raise ParseError(line_no, f"repeated entry {owner} {target}")
             if origin == INFERRED and 0.0 <= trust < config.store_threshold:
@@ -350,5 +348,6 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
             table[target] = (trust, hops)
     for user, direct in edges.items():
         if {t: e for t, e in tables[user].items() if e[1] == 1} != direct:
-            raise stale(user)
+            raise StaleSnapshotError(f"{path}: direct trust of user {user} "
+                                     "differs from the trust input")
     return state

@@ -73,8 +73,7 @@ class Dataset:
     item) ratings and duplicate (source, target) edges resolve to the last
     occurrence; self-trust edges are dropped. All three events are counted in
     ``warnings``. After construction the dataset is read-only and safe to
-    share across workers; the first propagate run whose bound admits it
-    caches an index of the trust adjacency on it.
+    share across workers.
     """
 
     def __init__(self, ratings=(), trust_edges=(), users=(), items=()):
@@ -116,10 +115,6 @@ class Dataset:
             if v > 0.0:
                 positive_out.setdefault(s, []).append((t, v))
                 positive_in.setdefault(t, []).append((s, v))
-        # propagation's index of trust_adjacency (its rows' slot pairs),
-        # built by the first propagate round that may use it (see
-        # propagation._bounded_index)
-        self._propagation_index = None
 
     # -- counts -----------------------------------------------------------
 

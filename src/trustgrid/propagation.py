@@ -13,14 +13,14 @@ run, from the trust graph and the config: when no edge is negative and a
 bound on the averages (see _bounded_index) proves that a target none of x's
 positive neighbours holds at hops 1 is never stored, as with the defaults
 (0.8 * 0.8 < 0.7), x sums only its neighbours' direct targets less itself
-and its own. Those depend on the trust adjacency alone, so each Dataset
-indexes them once, and such a run keeps each node's values in a row, a
-list with one slot per direct target and per indexed target, instead of a
-table: every round sums each slot from the neighbour slots the index pairs
-with it, and the tables are built once, from the last rows. Otherwise, and
-always in run_round, which takes any state, every round rebuilds the tables
-and sums every target. The stored tables are the same, bit for bit, either
-way.
+and its own. Those depend on the trust adjacency alone, so such a run
+indexes them once, before its first round, and keeps each node's values in
+a row, a list with one slot per direct target and per indexed target,
+instead of a table: every round sums each slot from the neighbour slots the
+index pairs with it, and the last rows' stored targets are added to
+init_network's tables. Otherwise, and always in run_round, which takes any
+state, every round rebuilds the tables and sums every target. The stored
+tables are the same, bit for bit, either way.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from typing import NamedTuple
 
 from .model import Dataset, UnknownUserError
@@ -132,9 +132,9 @@ def _narrow(slots, size):
 
 
 def _build_index(dataset: Dataset) -> _Index:
-    """The _Index of a Dataset's trust adjacency, which _bounded_index
-    caches on Dataset._propagation_index. Which slot of x's ys each slot of
-    a neighbour's row feeds depends on the adjacency alone, so a bounded
+    """The _Index of a Dataset's trust adjacency, built once per propagate
+    run that _bounded_index admits. Which slot of x's ys each slot of a
+    neighbour's row feeds depends on the adjacency alone, so a bounded
     round finds it here instead of by target in a table."""
     out = dataset.trust_adjacency.out
     positive_out = dataset.trust_adjacency.positive_out
@@ -159,9 +159,10 @@ def _build_index(dataset: Dataset) -> _Index:
 
 
 def _bounded_index(dataset: Dataset, config: PropagationConfig):
-    """The Dataset's index when no round of a run from init_network can
-    store a target outside it, else None; it returns before building the
-    index otherwise, so signed runs, and binary ones at d = 0.9, never do.
+    """A fresh _Index of the Dataset when no round of a run from
+    init_network can store a target outside it, else None; it returns
+    before building the index otherwise, so signed runs, and binary ones at
+    d = 0.9, never do.
 
     Let d be the damping, u = 2^-53, k the largest positive out-degree and
     w_min the smallest positive weight. If the values a node averages lie in
@@ -204,9 +205,7 @@ def _bounded_index(dataset: Dataset, config: PropagationConfig):
 
     if not widened(widened(max(values, default=0.0))) < config.store_threshold:
         return None
-    if dataset._propagation_index is None:
-        dataset._propagation_index = _build_index(dataset)
-    return dataset._propagation_index
+    return _build_index(dataset)
 
 
 def _row_round(rows, dataset, config, index):
@@ -318,42 +317,31 @@ def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> Netw
     rounds have run. Every round equals run_round on the previous state.
     Before the first round, _bounded_index decides once whether every round
     may sum only the index's targets; if so, the rounds run on rows (see
-    _Index) and the tables are built from the last rows, in init_network's
-    owner order with each table's direct entries first, then its stored
-    targets in ascending order."""
+    _Index) that start from init_network's direct values, and after the
+    last round each table gets its row's stored targets, in ascending
+    order after its direct entries."""
     if config is None:
         config = PropagationConfig()
+    state = init_network(dataset)
     # at max_rounds 0 no round would read the index, so none is built
     index = _bounded_index(dataset, config) if config.max_rounds else None
     if index is not None:
-        return _propagate_rows(dataset, config, index)
-    state = init_network(dataset)
+        rows = {x: [v for v, _ in table.values()] + [None] * len(index.ys[x])
+                for x, table in state.tables.items()}
     for _ in range(config.max_rounds):
-        state, max_change, _ = run_round(state, dataset, config)
+        if index is None:
+            state, max_change, _ = run_round(state, dataset, config)
+        else:
+            rows, max_change, _ = _row_round(rows, dataset, config, index)
+            state.round += 1
         if max_change <= config.tolerance:
             state.converged = True
             break
-    return state
-
-
-def _propagate_rows(dataset, config, index):
-    """propagate's rounds when _bounded_index holds, on rows that start
-    out as init_network's tables do, with the direct values alone."""
-    out = dataset.trust_adjacency.out
-    rows = {x: [*(v for _, v in out.get(x, ())), *repeat(None, len(ys))]
-            for x, ys in sorted(index.ys.items())}
-    state = NetworkState({})
-    for _ in range(config.max_rounds):
-        rows, max_change, _ = _row_round(rows, dataset, config, index)
-        state.round += 1
-        if max_change <= config.tolerance:
-            state.converged = True
-            break
-    for x, row in rows.items():
-        table = state.tables[x] = {t: (v, 1) for t, v in out.get(x, ())}
-        for y, value in zip(index.ys[x], islice(row, len(table), None)):
-            if value is not None:
-                table[y] = (value, 2)
+    if index is not None:
+        for x, table in state.tables.items():
+            for y, value in zip(index.ys[x], islice(rows[x], len(table), None)):
+                if value is not None:
+                    table[y] = (value, 2)
     return state
 
 

@@ -1,5 +1,8 @@
+import pkgutil
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from pytest import approx
@@ -7,7 +10,8 @@ from pytest import approx
 import trustgrid
 from trustgrid.cli import main
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -24,6 +28,16 @@ def test_package_all_names_resolve():
     namespace = {}
     exec("from trustgrid import *", namespace)
     assert set(trustgrid.__all__) <= set(namespace)
+
+
+def test_package_imports_with_the_standard_library_alone():
+    # -I -S leave site-packages and the environment off sys.path, so any
+    # third-party import in the package fails here
+    modules = [f"trustgrid.{m.name}" for m in pkgutil.iter_modules(trustgrid.__path__)]
+    assert "trustgrid.propagation" in modules
+    code = (f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+            f"import importlib; [importlib.import_module(m) for m in {modules!r}]")
+    subprocess.run([sys.executable, "-I", "-S", "-c", code], check=True)
 
 
 def test_readme_cli_example_runs(tmp_path, monkeypatch):

@@ -220,7 +220,8 @@ def test_snapshot_entry_of_user_outside_dataset_is_stale(tmp_path, entry):
                     "0 1 1.0 direct 1\n"
                     + entry + "\n")
     ds = Dataset([], [(0, 1, 1.0)])
-    with pytest.raises(StaleSnapshotError, match="user 9 "):
+    with pytest.raises(StaleSnapshotError,
+                       match="line 3: user 9 is not in this run's input"):
         load_snapshot(path, ds, PropagationConfig(max_rounds=0))
 
 

@@ -1,8 +1,13 @@
+import copy
 import random
 
 import pytest
 
+from trustgrid import propagation
+from trustgrid.evaluation import evaluate_ratings, leave_one_out_trust
+from trustgrid.ingest import SyntheticSpec, generate_synthetic
 from trustgrid.model import Dataset, NoRatingsError, UnknownItemError
+from trustgrid.propagation import PropagationConfig, propagate
 
 
 def test_mean_rating():
@@ -99,3 +104,21 @@ def test_index_consistency():
     per_user_total = sum(len(ds.user_ratings(u)) for u in ds.users)
     per_item_total = sum(len(ds.item_raters(i)) for i in ds.items)
     assert per_user_total == ds.n_ratings == per_item_total == len(records)
+
+
+@pytest.mark.parametrize("mode", ["binary", "uniform_signed"])
+def test_nothing_writes_to_a_dataset(mode):
+    # a Dataset is read-only once built, so workers may share it: neither
+    # propagation, on rows or on tables, nor evaluation leaves a trace on it
+    ds = generate_synthetic(SyntheticSpec(n_users=40, n_items=120,
+                                          trust_value_mode=mode, rng_seed=2))
+    calls = [lambda: propagate(ds),
+             lambda: evaluate_ratings(ds, "proposed"),
+             lambda: leave_one_out_trust(ds, sample=0.05)]
+    for call in calls:
+        before = copy.deepcopy(vars(ds))
+        call()
+        assert vars(ds) == before
+    # the binary graph's runs took rows, the signed graph's took tables
+    bounded = propagation._bounded_index(ds, PropagationConfig()) is not None
+    assert bounded == (mode == "binary")

@@ -534,14 +534,15 @@ def test_run_round_falls_back_on_states_the_index_does_not_cover(monkeypatch,
 
 
 def test_propagate_builds_the_index_only_for_a_round(monkeypatch):
-    # at max_rounds 0 no round reads the index, so propagate builds none
+    # at max_rounds 0 no round reads the index, so propagate builds none;
+    # a run with rounds builds its own, as the Dataset keeps none
     ds = binary_graph()
     built = record_builds(monkeypatch)
     assert propagate(ds, PropagationConfig(max_rounds=0)) == init_network(ds)
-    assert built == [] and ds._propagation_index is None
+    assert built == []
     for _ in range(2):
         propagate(ds, PropagationConfig(max_rounds=1))
-    assert built == [ds]
+    assert built == [ds, ds]
 
 
 def hub_graph():
@@ -569,7 +570,7 @@ def test_propagate_on_rows_wider_than_a_byte(monkeypatch):
         seen.clear()
         assert_propagate_matches_reference(ds, config, 4)
         assert set(seen) == ({"rows"} if threshold >= 0.65 else {"full"})
-    index = ds._propagation_index
+    index = propagation._build_index(ds)
     (ps, qs), = index.pairs[0]
     assert len(index.ys[0]) > 256 and len(ps) > 256
     assert (type(ps), ps.typecode) == (type(qs), qs.typecode) == (array, "H")
