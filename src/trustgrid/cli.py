@@ -1,6 +1,8 @@
 """Command-line entry point.
 
 Subcommands: ingest, stats, synth, propagate, recommend, trust, evaluate.
+A flag this run would not read is a usage error that names it;
+_UNREAD_FLAGS says, per subcommand, when which flags go unread.
 Exit codes: 0 success, 1 usage error, 2 data error. Logs go to stderr;
 results go to stdout or --out. Every output artifact echoes the run
 configuration so runs are reproducible.
@@ -14,7 +16,7 @@ import logging
 import sys
 
 from . import baselines, evaluation, ingest
-from .model import TrustgridError, UnknownItemError
+from .model import TrustgridError
 from .propagation import PropagationConfig, propagate, query_trust
 from .recommender import recommend
 
@@ -41,25 +43,22 @@ def _add_input_flags(p, ratings_required=False, trust_required=False):
                    required=trust_required)
 
 
-# each propagation flag's argparse dest and PropagationConfig field
+# each propagation flag's argparse dest and type, PropagationConfig field and
+# help
 _PROPAGATION_FLAGS = {
-    "--lambda": ("damping", "damping"),
-    "--threshold": ("threshold", "store_threshold"),
-    "--max-rounds": ("max_rounds", "max_rounds"),
-    "--tol": ("tol", "tolerance"),
+    "--lambda": ("damping", float, "damping", "per-hop damping factor (default {})"),
+    "--threshold": ("threshold", float, "store_threshold",
+                    "storage threshold on positive inferred trust (default {})"),
+    "--max-rounds": ("max_rounds", int, "max_rounds", "(default {})"),
+    "--tol": ("tol", float, "tolerance", "(default {})"),
 }
 
 
 def _add_propagation_flags(p):
-    # no argparse default, so a flag not given reads None; _config_from_args
-    # fills in PropagationConfig's default
     default = PropagationConfig()
-    p.add_argument("--lambda", dest="damping", type=float,
-                   help=f"per-hop damping factor (default {default.damping})")
-    p.add_argument("--threshold", type=float, help="storage threshold on positive "
-                   f"inferred trust (default {default.store_threshold})")
-    p.add_argument("--max-rounds", type=int, help=f"(default {default.max_rounds})")
-    p.add_argument("--tol", type=float, help=f"(default {default.tolerance})")
+    for flag, (dest, kind, field, text) in _PROPAGATION_FLAGS.items():
+        p.add_argument(flag, dest=dest, type=kind,
+                       help=text.format(getattr(default, field)))
     p.add_argument("--snapshot", help="snapshot file to write (propagate) or reuse")
 
 
@@ -80,7 +79,6 @@ def positive_int(text: str) -> int:
 
 
 def _add_horizon_flag(p):
-    # no argparse default, so _check_method_flags can tell whether it was given
     p.add_argument("--horizon", type=positive_int,
                    help="MoleTrust propagation horizon "
                         f"(default {baselines.DEFAULT_HORIZON})")
@@ -125,7 +123,6 @@ def build_parser() -> _Parser:
     p.add_argument("--target", type=int)
     p.add_argument("--leave-one-out", action="store_true",
                    help="hide each trust edge and try to re-infer it")
-    # no argparse default, so _cmd_trust can tell whether they were given
     p.add_argument("--sample", type=fraction, help="edge sample fraction")
     p.add_argument("--seed", type=int, help="sample seed (default 0)")
 
@@ -136,7 +133,6 @@ def build_parser() -> _Parser:
     p.add_argument("--view", choices=evaluation.VIEW_NAMES, default="all")
     p.add_argument("--sample", type=fraction,
                    help="held-out rating sample fraction")
-    # no argparse default, so _check_seed can tell whether it was given
     p.add_argument("--seed", type=int, help="sample seed (default 0)")
     _add_horizon_flag(p)
     p.add_argument("--jobs", type=positive_int, default=1)
@@ -145,17 +141,61 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Per subcommand, in the order they are checked: when a run would not read
+# some flags, those flags, and the usage error that names one given. Only
+# --method proposed propagates, only mole reads --horizon, --seed only picks
+# the --sample, and each trust mode reads flags the other does not.
+_MOLE_ONLY = (lambda args: args.method != "mole", ["--horizon"],
+              "{flag} applies only to --method mole, not {method}")
+_PROPOSED_ONLY = (lambda args: args.method != "proposed",
+                  [*_PROPAGATION_FLAGS, "--snapshot"],
+                  "{flag} applies only to --method proposed, not {method}")
+_SAMPLE_ONLY = (lambda args: args.sample is None, ["--seed"],
+                "{flag} applies only with --sample")
+_UNREAD_FLAGS = {
+    "recommend": [_MOLE_ONLY, _PROPOSED_ONLY],
+    "evaluate": [_MOLE_ONLY, _PROPOSED_ONLY, _SAMPLE_ONLY],
+    "trust": [(lambda args: args.leave_one_out,
+               ["--ratings", "--snapshot", "--source", "--target"],
+               "--leave-one-out takes no {flag}"),
+              (lambda args: not args.leave_one_out, ["--sample", "--seed"],
+               "a trust query takes no {flag}"),
+              _SAMPLE_ONLY],
+}
+
+# filled in after the check, which tells a flag given from one left out by
+# its argparse default of None
+_LATE_DEFAULTS = {"horizon": baselines.DEFAULT_HORIZON, "seed": 0}
+
+
+def _settle_flags(args):
+    """Refuse each flag this run would not read, then fill in the defaults
+    of --horizon and --seed."""
+    for unread, flags, message in _UNREAD_FLAGS.get(args.subcommand, []):
+        if not unread(args):
+            continue
+        for flag in flags:
+            dest = (_PROPAGATION_FLAGS[flag][0] if flag in _PROPAGATION_FLAGS
+                    else flag[2:])
+            if getattr(args, dest) is not None:
+                raise _UsageError(message.format(flag=flag, **vars(args)))
+    for dest, default in _LATE_DEFAULTS.items():
+        if getattr(args, dest, default) is None:
+            setattr(args, dest, default)
+
+
 def _config_from_args(args) -> PropagationConfig:
     """The run's PropagationConfig, with the default of each propagation flag
     not given; a value it refuses is a usage error. The values are written
     back to `args`, so the echoed config shows what the run used."""
-    given = {field: getattr(args, dest) for dest, field in _PROPAGATION_FLAGS.values()
+    flags = _PROPAGATION_FLAGS.values()
+    given = {field: getattr(args, dest) for dest, _, field, _ in flags
              if getattr(args, dest) is not None}
     try:
         config = PropagationConfig(**given)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    for dest, field in _PROPAGATION_FLAGS.values():
+    for dest, _, field, _ in flags:
         setattr(args, dest, getattr(config, field))
     return config
 
@@ -188,35 +228,6 @@ def _network_state(args, dataset, config):
         log.warning("propagation did not converge: stopped at round %d",
                     state.round)
     return state
-
-
-def _check_method_flags(args):
-    """Only the proposed method propagates and only mole reads --horizon, so
-    a propagation flag or a snapshot given with any method but proposed, or
-    --horizon with any method but mole, would be silently ignored. Fills in
-    the default horizon after the check. Call it before _config_from_args,
-    which fills in the propagation flags not given."""
-    if args.horizon is not None and args.method != "mole":
-        raise _UsageError(f"--horizon applies only to --method mole, "
-                          f"not {args.method}")
-    if args.horizon is None:
-        args.horizon = baselines.DEFAULT_HORIZON
-    if args.method == "proposed":
-        return
-    dests = {flag: dest for flag, (dest, _) in _PROPAGATION_FLAGS.items()}
-    for flag, dest in {**dests, "--snapshot": "snapshot"}.items():
-        if getattr(args, dest) is not None:
-            raise _UsageError(f"{flag} applies only to --method proposed, "
-                              f"not {args.method}")
-
-
-def _check_seed(args):
-    """--seed only picks the --sample, so without one it would be silently
-    ignored. Fills in seed 0 after the check."""
-    if args.seed is not None and args.sample is None:
-        raise _UsageError("--seed applies only with --sample")
-    if args.seed is None:
-        args.seed = 0
 
 
 def _cmd_ingest(args):
@@ -255,15 +266,8 @@ def _cmd_synth(args):
     # output paths are volatile and do not determine content
     echoed = {k: v for k, v in _echo_config(args).items()
               if not k.startswith("out_")}
-    banner = "# " + json.dumps(echoed, sort_keys=True)
-    with open(args.out_ratings, "w", encoding="utf-8") as fh:
-        fh.write(banner + "\n")
-        for u, i, v in dataset.rating_list():
-            fh.write(f"{u} {i} {v}\n")
-    with open(args.out_trust, "w", encoding="utf-8") as fh:
-        fh.write(banner + "\n")
-        for s, t, v in dataset.trust_edge_list():
-            fh.write(f"{s} {t} {v!r}\n")
+    ingest.save_dataset(dataset, args.out_ratings, args.out_trust,
+                        json.dumps(echoed, sort_keys=True))
     stats = ingest.dataset_stats(dataset)
     print(f"wrote {stats.n_ratings} ratings and {stats.n_trust_edges} trust edges")
     return EXIT_OK
@@ -284,12 +288,11 @@ def _cmd_propagate(args):
 
 
 def _cmd_recommend(args):
-    _check_method_flags(args)
     config = _config_from_args(args)
     dataset = _load(args)
-    dataset._check_user(args.user)
-    if args.item not in dataset.items:
-        raise UnknownItemError(f"unknown item {args.item}")
+    # each raises for an id outside the input, before any propagation
+    dataset.user_ratings(args.user)
+    dataset.item_raters(args.item)
     if args.method == "proposed":
         state = _network_state(args, dataset, config)
         rec = recommend(state, args.user, args.item, dataset)
@@ -313,15 +316,7 @@ def _cmd_recommend(args):
 
 def _cmd_trust(args):
     config = _config_from_args(args)
-    # each mode reads flags the other would silently ignore
-    mode, ignored = (("--leave-one-out", ("ratings", "snapshot", "source", "target"))
-                     if args.leave_one_out else ("a trust query", ("sample", "seed")))
-    for flag in ignored:
-        if getattr(args, flag) is not None:
-            raise _UsageError(f"{mode} takes no --{flag}")
-    if args.leave_one_out:
-        _check_seed(args)
-    elif args.source is None or args.target is None:
+    if not args.leave_one_out and (args.source is None or args.target is None):
         raise _UsageError("trust query needs --source and --target")
     dataset = _load(args)
     if args.leave_one_out:
@@ -331,8 +326,8 @@ def _cmd_trust(args):
               f"mae={'na' if error is None else f'{error:.4f}'}")
         return EXIT_OK
     # before propagating, which may take seconds and write --snapshot
-    dataset._check_user(args.source)
-    dataset._check_user(args.target)
+    dataset.user_ratings(args.source)
+    dataset.user_ratings(args.target)
     state = _network_state(args, dataset, config)
     result = query_trust(state, args.source, args.target)
     if result is None:
@@ -344,8 +339,6 @@ def _cmd_trust(args):
 
 
 def _cmd_evaluate(args):
-    _check_method_flags(args)
-    _check_seed(args)
     config = _config_from_args(args)
     dataset = _load(args)
     state = None
@@ -396,6 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _settle_flags(args)
         return _COMMANDS[args.subcommand](args)
     except _UsageError as exc:
         log.error("usage error: %s", exc)

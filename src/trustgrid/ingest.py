@@ -2,7 +2,7 @@
 
 Rating and trust files are whitespace-delimited text, one record per line,
 with `#` comment lines allowed (the layout of the public Epinions dumps);
-one reader parses both.
+one reader parses both and save_dataset writes both.
 Snapshots persist a propagated network state as versioned text so expensive
 propagation runs can be cached and reloaded bit-exactly; each header records
 the damping, storage threshold, round and convergence it was built with, and
@@ -42,11 +42,17 @@ class StaleSnapshotError(TrustgridError):
 
 def _data_lines(stream, start=1):
     """(line number, stripped line) for each data line; `start` is the file
-    line number of the stream's first line."""
+    line number of the stream's first line. A data line must be plain ASCII
+    without `_`: int() and float() also read `1_0` as 10 and other scripts'
+    digits, and a byte a file's encoding cannot decode (read as a
+    surrogate escape) would otherwise go unnamed."""
     for line_no, raw in enumerate(stream, start=start):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii() or "_" in line:
+            raise ParseError(line_no, f"fields must be plain ASCII without '_': "
+                                      f"{line!r}")
         yield line_no, line
 
 
@@ -85,12 +91,26 @@ def load_dataset(ratings_path=None, trust_path=None) -> Dataset:
     ratings = []
     trust = []
     if ratings_path is not None:
-        with open(ratings_path, encoding="utf-8") as fh:
+        with open(ratings_path, encoding="utf-8", errors="surrogateescape") as fh:
             ratings = parse_ratings(fh)
     if trust_path is not None:
-        with open(trust_path, encoding="utf-8") as fh:
+        with open(trust_path, encoding="utf-8", errors="surrogateescape") as fh:
             trust = parse_trust(fh)
     return Dataset(ratings, trust)
+
+
+def save_dataset(dataset: Dataset, ratings_path, trust_path, comment: str) -> None:
+    """Write `dataset` as the rating and trust files load_dataset reads back
+    to the same rating_list() and trust_edge_list(), each opening with
+    `comment` as a `#` line. Trust values keep full precision."""
+    with open(ratings_path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n")
+        for u, i, v in dataset.rating_list():
+            fh.write(f"{u} {i} {v}\n")
+    with open(trust_path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {comment}\n")
+        for s, t, v in dataset.trust_edge_list():
+            fh.write(f"{s} {t} {v!r}\n")
 
 
 # -- synthetic data -------------------------------------------------------
@@ -289,7 +309,7 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     edges = init_network(dataset).tables
     state = NetworkState({user: {} for user in edges})
     tables = state.tables
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         meta = _read_header(fh, path)
         for key, value in (("lambda", config.damping),
                            ("threshold", config.store_threshold)):

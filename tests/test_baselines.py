@@ -60,6 +60,16 @@ def test_tidal_recommend_equal_trust_averages():
     assert {u for u, _, _ in res.raters_considered} == {1, 2}
 
 
+def test_tidal_recommend_zero_trust_averages_ratings():
+    # 1e-200 * 1e-200 underflows to 0.0, so each rater's path trust is 0 and
+    # the selected trusts sum to 0: the prediction is the raters' plain mean
+    ds = Dataset([(1, 7, 5), (2, 7, 2)], [(0, 1, 1e-200), (0, 2, 1e-200)])
+    res = tidal_trust_recommend(0, 7, ds)
+    assert res.predicted == approx(3.5)
+    assert res.depth == 1
+    assert res.raters_considered == {(1, 0.0, 5), (2, 0.0, 2)}
+
+
 def test_tidal_recommend_unreachable_item():
     # only a negative edge leads to the other rater, so the search ends
     # exhausted after expanding each node it reached: 0, 1, 3 and 2

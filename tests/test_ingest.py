@@ -4,8 +4,9 @@ import pytest
 
 from trustgrid.ingest import (DatasetStats, ParseError, StaleSnapshotError,
                               SyntheticSpec, VersionError, dataset_stats,
-                              generate_synthetic, load_snapshot,
-                              parse_ratings, parse_trust, save_snapshot)
+                              generate_synthetic, load_dataset, load_snapshot,
+                              parse_ratings, parse_trust, save_dataset,
+                              save_snapshot)
 from trustgrid.model import Dataset
 from trustgrid.propagation import PropagationConfig, init_network, propagate
 
@@ -68,6 +69,32 @@ def test_parse_trust_invalid_record_names_line(bad, message):
 def test_parse_totality():
     lines = ["# header"] + [f"{u} {u + 1} 1" for u in range(50)]
     assert len(parse_trust(io.StringIO("\n".join(lines)))) == 50
+
+
+# fields that int() reads as 10 or 3, or that UTF-8 cannot decode at all
+NOT_PLAIN = {"underscore": b"1_0", "arabic-indic-digit": "٣".encode(),
+             "not-utf8": b"\xff"}
+
+
+@pytest.mark.parametrize("field", NOT_PLAIN.values(), ids=NOT_PLAIN)
+@pytest.mark.parametrize("kind", ["ratings", "trust"])
+def test_data_line_not_plain_ascii_names_its_line(tmp_path, kind, field):
+    path = tmp_path / f"{kind}.txt"
+    path.write_bytes(b"# header\n0 10 1\n0 " + field + b" 1\n")
+    with pytest.raises(ParseError, match="^line 3: fields must be plain ASCII"):
+        load_dataset(**{f"{kind}_path": path})
+
+
+def test_save_dataset_round_trip(tmp_path):
+    ds = Dataset([(0, 7, 4), (3, 2, 1)],
+                 [(0, 3, 0.1 + 0.2), (3, 0, -1.0), (2, 0, 1.0)])
+    assert len(repr(0.1 + 0.2)) == 19  # 17 significant digits
+    ratings, trust = tmp_path / "r.txt", tmp_path / "t.txt"
+    save_dataset(ds, ratings, trust, '{"seed": 0}')
+    assert trust.read_text().splitlines()[0] == '# {"seed": 0}'
+    loaded = load_dataset(ratings, trust)
+    assert loaded.rating_list() == ds.rating_list()
+    assert loaded.trust_edge_list() == ds.trust_edge_list()
 
 
 def test_synthetic_deterministic():
@@ -196,6 +223,23 @@ def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(ParseError, match="^line 6: "):
         load_snapshot(path, ds, PropagationConfig(max_rounds=1))
+
+
+@pytest.mark.parametrize("hops", NOT_PLAIN.values(), ids=NOT_PLAIN)
+def test_snapshot_line_not_plain_ascii_names_its_line(tmp_path, hops):
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
+    path = tmp_path / "bad.snap"
+
+    def write(field):
+        path.write_bytes(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=1\n"
+                         "node 0\n0 1 1.0 direct 1\n".encode()
+                         + b"0 2 0.9 inferred " + field + b"\n1 2 1.0 direct 1\n")
+
+    write(b"2")
+    load_snapshot(path, ds, PropagationConfig())
+    write(hops)
+    with pytest.raises(ParseError, match="^line 4: fields must be plain ASCII"):
+        load_snapshot(path, ds, PropagationConfig())
 
 
 @pytest.mark.parametrize("field", [
