@@ -56,6 +56,16 @@ def _data_lines(stream, start=1):
         yield line_no, line
 
 
+def _check_integers(line_no, line, fields):
+    """ParseError unless each of `fields`, which int() reads, is spelled as
+    str() spells its value: int() also reads `+10` and `010` as 10 and `-0`
+    as 0, so one id could go by two spellings."""
+    for field in fields:
+        if str(int(field)) != field:
+            raise ParseError(line_no, f"non-canonical integer {field!r} in "
+                                      f"{line!r}")
+
+
 def _parse(stream, cast, check, bad_field):
     """`id id value` lines as (int, int, cast(value)) tuples that `check`
     accepts; a ParseError names the first bad line."""
@@ -68,6 +78,11 @@ def _parse(stream, cast, check, bad_field):
             record = int(fields[0]), int(fields[1]), cast(fields[2])
         except ValueError:
             raise ParseError(line_no, f"{bad_field} field in {line!r}") from None
+        # only a field that starts with +, - or 0, that is, one that sorts
+        # before "1", can be non-canonical
+        if (fields[0] < "1" or fields[1] < "1"
+                or cast is int and fields[2] < "1"):
+            _check_integers(line_no, line, fields if cast is int else fields[:2])
         try:
             check(*record)
         except ValueError as exc:
@@ -267,6 +282,13 @@ def save_snapshot(state: NetworkState, path, config) -> None:
                 fh.write(f"{owner} {target} {trust!r} {origin} {hops}\n")
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if str(value) != text:  # int() also reads +1 and 01 as 1
+        raise ValueError(text)
+    return value
+
+
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(text)
@@ -274,16 +296,16 @@ def _flag(text: str) -> bool:
 
 
 def _read_header(fh, path) -> dict:
-    """A snapshot's first line: magic, version, then `round` (an int),
-    `converged` (a bool), `lambda` and `threshold` (floats), each once as
-    key=value; a missing, repeated, malformed or unknown token is a
-    ParseError on line 1."""
+    """A snapshot's first line: magic, version, then `round` (an int, as
+    str() spells it), `converged` (a bool), `lambda` and `threshold`
+    (floats), each once as key=value; a missing, repeated, malformed or
+    unknown token is a ParseError on line 1."""
     header = fh.readline().split()
     if len(header) < 3 or header[0] != SNAPSHOT_MAGIC:
         raise VersionError(f"{path}: not a trustgrid snapshot")
     if header[1] != SNAPSHOT_VERSION:
         raise VersionError(f"{path}: unsupported snapshot version {header[1]}")
-    kinds = {"round": int, "converged": _flag, "lambda": float, "threshold": float}
+    kinds = {"round": _count, "converged": _flag, "lambda": float, "threshold": float}
     fields = {}
     for token in header[2:]:
         key, sep, text = token.partition("=")
@@ -340,6 +362,12 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
                     trust = float(fields[2])
             except ValueError:
                 raise ParseError(line_no, f"malformed field in {line!r}") from None
+            # as in _parse, only a field that sorts before "1" can be
+            # non-canonical; a node line's id is fields[1], an entry's hops
+            # fields[4]
+            if fields[0] < "1" or fields[1] < "1" or fields[-1] < "1":
+                _check_integers(line_no, line, fields[1:] if is_node
+                                else (fields[0], fields[1], fields[4]))
             if is_node:
                 continue  # every dataset user has a table, listed or not
             origin = fields[3]

@@ -66,6 +66,28 @@ def test_parse_trust_invalid_record_names_line(bad, message):
     assert info.value.line_no == 2
 
 
+@pytest.mark.parametrize("field", ["+10", "010", "00", "-0", "-010"])
+@pytest.mark.parametrize("parse, template", [
+    (parse_ratings, "{} 10 1"), (parse_ratings, "0 {} 1"),
+    (parse_ratings, "0 10 {}"), (parse_trust, "{} 10 1"),
+    (parse_trust, "0 {} 1"),
+], ids=["rating-user", "rating-item", "rating-value", "trust-source",
+        "trust-target"])
+def test_non_canonical_integer_names_its_line(parse, template, field):
+    # int() reads +10 and 010 as 10, so `0 010 1` after `0 10 1` would
+    # silently name item 10 again and count as a duplicate
+    bad = template.format(field)
+    with pytest.raises(ParseError) as info:
+        parse(io.StringIO(f"0 10 1\n{bad}\n"))
+    assert str(info.value) == f"line 2: non-canonical integer {field!r} in {bad!r}"
+
+
+def test_zero_is_a_canonical_id():
+    assert parse_ratings(io.StringIO("0 0 1\n")) == [(0, 0, 1)]
+    assert parse_trust(io.StringIO("0 10 0\n10 0 -0.0\n")) == [(0, 10, 0.0),
+                                                               (10, 0, -0.0)]
+
+
 def test_parse_totality():
     lines = ["# header"] + [f"{u} {u + 1} 1" for u in range(50)]
     assert len(parse_trust(io.StringIO("\n".join(lines)))) == 50
@@ -225,6 +247,25 @@ def test_snapshot_bad_line_reports_its_file_line(tmp_path, bad_line):
         load_snapshot(path, ds, PropagationConfig(max_rounds=1))
 
 
+@pytest.mark.parametrize("line", ["node +1", "node 01", "01 2 1.0 direct 1",
+                                  "1 +2 1.0 direct 1", "1 2 1.0 direct 01",
+                                  "-0 2 1.0 direct 1"])
+def test_snapshot_non_canonical_integer_names_its_line(tmp_path, line):
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
+    path = tmp_path / "bad.snap"
+
+    def write(lines):
+        path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=1\n"
+                        "node 0\n0 1 1.0 direct 1\n0 2 0.9 inferred 2\n"
+                        + "\n".join(lines) + "\n")
+
+    write(["node 1", "1 2 1.0 direct 1"])
+    load_snapshot(path, ds, PropagationConfig())
+    write([line, "1 2 1.0 direct 1"] if line.startswith("node") else [line])
+    with pytest.raises(ParseError, match="^line 5: non-canonical integer"):
+        load_snapshot(path, ds, PropagationConfig())
+
+
 @pytest.mark.parametrize("hops", NOT_PLAIN.values(), ids=NOT_PLAIN)
 def test_snapshot_line_not_plain_ascii_names_its_line(tmp_path, hops):
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0)])
@@ -243,8 +284,8 @@ def test_snapshot_line_not_plain_ascii_names_its_line(tmp_path, hops):
 
 
 @pytest.mark.parametrize("field", [
-    "round=x", "converged=x", "converged=7", "lambda=abc", "threshold=x",
-    "lambda=na", "threshold=na",
+    "round=x", "round=-0", "round=00", "converged=x", "converged=7",
+    "lambda=abc", "threshold=x", "lambda=na", "threshold=na",
 ])
 def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
     path = tmp_path / "bad.snap"

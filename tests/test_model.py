@@ -119,6 +119,6 @@ def test_nothing_writes_to_a_dataset(mode):
         before = copy.deepcopy(vars(ds))
         call()
         assert vars(ds) == before
-    # the binary graph's runs took rows, the signed graph's took tables
+    # both graphs' runs took rows
     bounded = propagation._bounded_index(ds, PropagationConfig()) is not None
-    assert bounded == (mode == "binary")
+    assert bounded

@@ -292,6 +292,8 @@ def valued_graph(rng, kind, n):
         "positive": lambda: rng.uniform(0.05, 1.0),
         "signed": lambda: rng.choice((-1, 1)) * rng.uniform(0.05, 1.0),
         "quarters": lambda: rng.choice((-0.0, 0.0, 0.25, 0.5, 0.75, 1.0)),
+        "signed quarters": lambda: rng.choice((-1.0, -0.5, -0.25, -0.0, 0.0,
+                                               0.25, 0.5, 0.75, 1.0)),
     }[kind]
     p = rng.uniform(0.15, 0.45)
     return edges_dataset({(s, t): choose() for s in range(n) for t in range(n)
@@ -358,13 +360,16 @@ def subnormal_graph():
     return Dataset([], [(0, 1, 5e-324), (1, 2, 1.0), (2, 3, 1.0)])
 
 
-@pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters"])
+@pytest.mark.parametrize("kind", ["binary", "positive", "signed", "quarters",
+                                  "signed quarters"])
 def test_propagate_matches_reference_rounds(monkeypatch, kind):
     # propagate decides once per run whether every round may sum only the
-    # index's targets, from W, the largest trust value, and the config; its
-    # bound is tightest at threshold fl(d * fl(d * W)), so every run at it,
-    # one ulp above and one ulp below must agree with the reference bit for
-    # bit, whichever kernel it takes
+    # index's targets, from W, the largest positive trust value, and the
+    # config; its bound is tightest at threshold fl(d * fl(d * W)), so every
+    # run at it, one ulp above, one ulp below and just above, where the
+    # bound admits rows, must agree with the reference bit for bit,
+    # whichever kernel it takes. On signed graphs the rows also sum the neg
+    # slots, at hops they track; -0.0 edges are not negative
     rng = random.Random(kind)
     runs = [(valued_graph(rng, kind, rng.randint(3, 14)),
              rng.choice((0.8, 1.0, 0.5, rng.uniform(0.3, 1.0))))
@@ -372,14 +377,18 @@ def test_propagate_matches_reference_rounds(monkeypatch, kind):
     if kind == "positive":
         runs.append((subnormal_graph(), 0.8))
     seen = record_kernels(monkeypatch)
+    passed = record_hops(monkeypatch)
     for ds, damping in runs:
         top = max((v for _, _, v in ds.trust_edge_list()), default=0.0)
         edge = damping * (damping * max(top, 0.0))
         for threshold in (edge, math.nextafter(edge, 1.0),
-                          math.nextafter(edge, 0.0), 0.7):
+                          math.nextafter(edge, 0.0),
+                          min(1.0, edge * (1 + 1e-12)), 0.7):
             config = PropagationConfig(damping=damping, store_threshold=threshold)
             assert_propagate_matches_reference(ds, config)
-    assert set(seen) == ({"full"} if kind == "signed" else {"full", "rows"})
+    assert set(seen) == {"full", "rows"}
+    tracked = {hops is not None for hops in passed}
+    assert tracked == ({False, True} if kind.startswith("signed") else {False})
 
 
 def hand_state(tables):
@@ -447,6 +456,15 @@ def record_kernels(monkeypatch):
     return seen
 
 
+def record_hops(monkeypatch):
+    """The hops argument of each _row_round call, in call order."""
+    passed = []
+    row_round = propagation._row_round
+    monkeypatch.setattr(propagation, "_row_round",
+                        lambda *args: passed.append(args[4]) or row_round(*args))
+    return passed
+
+
 def record_builds(monkeypatch):
     """The Datasets _build_index is called on from now on, in call order."""
     built = []
@@ -467,7 +485,7 @@ def binary_graph(seed=3, n=30):
     (binary_graph(), PropagationConfig(damping=0.9), False),
     (binary_graph(), PropagationConfig(store_threshold=0.0), False),
     (edges_dataset({**{e: 1.0 for e in [(0, 1), (1, 2), (2, 3), (3, 0)]},
-                    (2, 0): -0.5}), PropagationConfig(), False),
+                    (2, 0): -0.5}), PropagationConfig(), True),
 ])
 def test_run_round_prunes_only_under_the_bound(monkeypatch, ds, config, indexed):
     # propagate chooses the kernel once per run, so either every round of
@@ -573,6 +591,85 @@ def test_propagate_on_rows_wider_than_a_byte(monkeypatch):
     index = propagation._build_index(ds)
     (ps, qs), = index.pairs[0]
     assert len(index.ys[0]) > 256 and len(ps) > 256
+    assert (type(ps), ps.typecode) == (type(qs), qs.typecode) == (array, "H")
+
+
+def test_mostly_positive_graph_matches_reference_rounds(monkeypatch):
+    # binary graphs with one edge in 30 made -1.0: only the targets that
+    # distrust reaches get neg slots, some of them stored at hops 3 or more
+    rng = random.Random("few negative")
+    passed = record_hops(monkeypatch)
+    deep = 0
+    for seed, n in ((3, 30), (4, 40), (7, 25)):
+        edges = {(s, t): v for s, t, v in binary_graph(seed, n).trust_edge_list()}
+        for edge in rng.sample(sorted(edges), len(edges) // 30):
+            edges[edge] = -1.0
+        ds = edges_dataset(edges)
+        passed.clear()
+        assert_propagate_matches_reference(ds, PropagationConfig(), 12)
+        assert passed and None not in passed
+        index = propagation._build_index(ds)
+        assert 0 < sum(map(len, index.neg.values())) < sum(map(len, index.ys.values()))
+        state = propagate(ds, PropagationConfig(max_rounds=12))
+        deep += sum(hops >= 3 for t in state.tables.values() for _, hops in t.values())
+    assert deep > 0
+
+
+@pytest.mark.parametrize("value, tracked", [(1.0, False), (-0.0, False),
+                                            (-1.0, True)])
+def test_rows_keep_hops_only_for_what_distrust_reaches(monkeypatch, value,
+                                                       tracked):
+    # on the chain 0 -> 1 -> 2 -> 3 only a negative trust from 2 in 3 gives
+    # 0 a neg slot for 3, and only a run with a neg slot keeps hops
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, value)])
+    passed = record_hops(monkeypatch)
+    assert_propagate_matches_reference(ds, PropagationConfig(), 3)
+    assert passed and {hops is not None for hops in passed} == {tracked}
+    neg = propagation._build_index(ds).neg
+    assert neg == {0: (3,) if tracked else (), 1: (), 2: (), 3: ()}
+
+
+def test_neg_slot_stores_one_more_than_its_fewest_contributor_hops():
+    # 3 and 6 distrust 4. 0 trusts 1 and 5; 1 holds 4 at hops 3 (from 2)
+    # from round 2 on, and 5 holds it at hops 2 from round 1 on, so 0 has no
+    # contributor for 4 in round 1, one at hops 2 in round 2, and both in
+    # round 3, when the fewer hops, 2, still give it hops 3
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, -1.0),
+                      (0, 5, 1.0), (5, 6, 1.0), (6, 4, -1.0)])
+    assert propagation._build_index(ds).neg[0] == (4,)
+    for rounds, entry in ((1, None), (2, (approx(-0.64), 3)),
+                          (3, (approx(-0.576), 3))):
+        state = propagate(ds, PropagationConfig(max_rounds=rounds))
+        assert state.tables[0].get(4) == entry
+    assert state.tables[1][4] == (approx(-0.64), 3)
+    assert_propagate_matches_reference(ds, PropagationConfig(), 5)
+
+
+def distrust_fan_graph():
+    # 2 distrusts 300 users, which 1 holds at hops 2 and 0 at hops 3, so 0's
+    # neg segment and 1's row both have more than 256 slots; the other users
+    # trust or distrust a few of them
+    rng = random.Random("fan")
+    edges = {(0, 1): 1.0, (1, 2): 1.0,
+             **{(2, t): -rng.uniform(0.05, 1.0) for t in range(3, 303)}}
+    for s in range(3, 303):
+        for t in rng.sample(range(303), 2):
+            if t != s:
+                edges[s, t] = rng.choice((-1, 1)) * rng.uniform(0.05, 1.0)
+    return edges_dataset(edges)
+
+
+def test_propagate_on_neg_slots_wider_than_a_byte(monkeypatch):
+    ds = distrust_fan_graph()
+    seen = record_kernels(monkeypatch)
+    for threshold in (0.65, 0.7):
+        seen.clear()
+        assert_propagate_matches_reference(
+            ds, PropagationConfig(store_threshold=threshold), 4)
+        assert set(seen) == {"rows"}
+    index = propagation._build_index(ds)
+    (ps, qs), = index.neg_pairs[0]
+    assert len(index.neg[0]) > 256 and len(ps) > 256
     assert (type(ps), ps.typecode) == (type(qs), qs.typecode) == (array, "H")
 
 
