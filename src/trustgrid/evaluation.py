@@ -10,7 +10,6 @@ disagreement thresholds.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
 from operator import itemgetter
@@ -90,12 +89,26 @@ def _count_and_spread(values) -> tuple[int, bool]:
     return n, 4 * (n * squares - total * total) > 9 * n * n
 
 
+class _Stats(dict):
+    """`_count_and_spread` of the ratings `ratings(key)` maps, computed at a
+    key's first lookup, so a view pays only for the users or items it
+    reads."""
+
+    def __init__(self, ratings):
+        super().__init__()
+        self.ratings = ratings
+
+    def __missing__(self, key):
+        stats = self[key] = _count_and_spread(self.ratings(key).values())
+        return stats
+
+
 def view_predicates(dataset: Dataset):
-    """Per-view (user, item) predicates, computed from the full dataset."""
-    user_stats = {u: _count_and_spread(dataset.user_ratings(u).values())
-                  for u in dataset.users}
-    item_stats = {i: _count_and_spread(dataset.item_raters(i).values())
-                  for i in dataset.items}
+    """Per-view (user, item) predicates, computed from the full dataset. A
+    view computes the statistics it reads when it first reads them: `all`
+    none, the user views per-user ones, the item views per-item ones."""
+    user_stats = _Stats(dataset.user_ratings)
+    item_stats = _Stats(dataset.item_raters)
 
     return {
         "all": lambda u, i: True,
@@ -295,6 +308,7 @@ def evaluate_ratings(dataset: Dataset, method: str, *,
     workers = min(jobs, len(groups))
     if workers > 1:
         import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         ctx = multiprocessing.get_context("fork")
         with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
                                  initializer=_init_worker,

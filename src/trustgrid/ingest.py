@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .model import (Dataset, RATING_MAX, RATING_MIN, TrustgridError,
                     check_rating, check_trust_edge)
-from .propagation import DIRECT, INFERRED, NetworkState, init_network
+from .propagation import DIRECT, INFERRED, NetworkState
 
 SNAPSHOT_MAGIC = "trustgrid-snapshot"
 SNAPSHOT_VERSION = "v1"
@@ -40,20 +40,16 @@ class StaleSnapshotError(TrustgridError):
     trust edges than this run's."""
 
 
-def _data_lines(stream, start=1):
-    """(line number, stripped line) for each data line; `start` is the file
-    line number of the stream's first line. A data line must be plain ASCII
-    without `_`: int() and float() also read `1_0` as 10 and other scripts'
-    digits, and a byte a file's encoding cannot decode (read as a
-    surrogate escape) would otherwise go unnamed."""
-    for line_no, raw in enumerate(stream, start=start):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not line.isascii() or "_" in line:
-            raise ParseError(line_no, f"fields must be plain ASCII without '_': "
-                                      f"{line!r}")
-        yield line_no, line
+def _not_plain(line_no, raw) -> None:
+    """Check a line that is not plain ASCII without `_`: a blank or `#`
+    comment line may hold anything and is skipped, any other is a
+    ParseError. int() and float() also read `1_0` as 10 and other scripts'
+    digits, and a byte a file's encoding cannot decode (read as a surrogate
+    escape) would otherwise go unnamed."""
+    line = raw.strip()
+    if line and not line.startswith("#"):
+        raise ParseError(line_no, f"fields must be plain ASCII without '_': "
+                                  f"{line!r}")
 
 
 def _check_integers(line_no, line, fields):
@@ -68,21 +64,29 @@ def _check_integers(line_no, line, fields):
 
 def _parse(stream, cast, check, bad_field):
     """`id id value` lines as (int, int, cast(value)) tuples that `check`
-    accepts; a ParseError names the first bad line."""
+    accepts, read in one pass over `stream`; a ParseError names the first
+    bad line. Blank lines and `#` comment lines are skipped."""
     records = []
-    for line_no, line in _data_lines(stream):
-        fields = line.split()
+    for line_no, raw in enumerate(stream, 1):
+        if not raw.isascii() or "_" in raw:
+            _not_plain(line_no, raw)
+            continue
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
         if len(fields) != 3:
             raise ParseError(line_no, f"expected 3 fields, got {len(fields)}")
         try:
             record = int(fields[0]), int(fields[1]), cast(fields[2])
         except ValueError:
-            raise ParseError(line_no, f"{bad_field} field in {line!r}") from None
+            raise ParseError(line_no, f"{bad_field} field in "
+                                      f"{raw.strip()!r}") from None
         # only a field that starts with +, - or 0, that is, one that sorts
         # before "1", can be non-canonical
         if (fields[0] < "1" or fields[1] < "1"
                 or cast is int and fields[2] < "1"):
-            _check_integers(line_no, line, fields if cast is int else fields[:2])
+            _check_integers(line_no, raw.strip(),
+                            fields if cast is int else fields[:2])
         try:
             check(*record)
         except ValueError as exc:
@@ -322,15 +326,31 @@ def _read_header(fh, path) -> dict:
     return fields
 
 
+def _origin_defect(origin: str, hops: int) -> str:
+    """Why an entry's origin and hops do not fit, checked in this order."""
+    if origin not in (DIRECT, INFERRED):
+        return f"unknown entry origin {origin!r}"
+    if hops < 1:
+        return f"hops {hops} below 1"
+    return f"{origin} entry with hops {hops}"
+
+
 def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     """This run's state, bit-exact: each dataset user's table holds the
     entries a snapshot lists for it, and its direct entries must equal the
     user's trust edges. StaleSnapshotError when the snapshot's damping,
-    storage threshold, round or entries do not fit this run. Every line is
-    checked before any table, so a line's defect is reported first."""
-    edges = init_network(dataset).tables
-    state = NetworkState({user: {} for user in edges})
-    tables = state.tables
+    storage threshold, round or entries do not fit this run. The file is
+    read in one pass; each direct line is checked against the trust edges
+    as it is read, but a mismatch is reported only after every line has
+    passed its own checks, so a line's defect is reported first."""
+    out = dataset.trust_adjacency.out
+    tables = {user: {} for user in sorted(dataset.users)}
+    state = NetworkState(tables)
+    matched = {}    # owner -> how many of its trust edges a direct line equals
+    differs = set()  # owners with a direct line that equals no trust edge
+    # an owner's entry lines come together, so its id, table and trust edges
+    # are looked up once per run of lines with the same owner field, `block`
+    block = None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         meta = _read_header(fh, path)
         for key, value in (("lambda", config.damping),
@@ -349,53 +369,71 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
                 f"{'converged' if state.converged else 'stopped unconverged'} "
                 f"at round {state.round}, but this run uses "
                 f"max_rounds={config.max_rounds}")
-        for line_no, line in _data_lines(fh, start=2):
-            fields = line.split()
-            is_node = fields[0] == "node" and len(fields) == 2
-            if not is_node and len(fields) != 5:
-                raise ParseError(line_no, f"expected 5 fields, got {len(fields)}")
-            try:
-                if is_node:
+        for line_no, raw in enumerate(fh, 2):
+            if not raw.isascii() or "_" in raw:
+                _not_plain(line_no, raw)
+                continue
+            fields = raw.split()
+            if not fields or fields[0][0] == "#":
+                continue
+            if len(fields) != 5:
+                if fields[0] != "node" or len(fields) != 2:
+                    raise ParseError(line_no,
+                                     f"expected 5 fields, got {len(fields)}")
+                # every dataset user has a table, listed or not, so a node
+                # line is only checked
+                try:
                     int(fields[1])
-                else:
-                    owner, target, hops = int(fields[0]), int(fields[1]), int(fields[4])
-                    trust = float(fields[2])
+                except ValueError:
+                    raise ParseError(line_no, f"malformed field in "
+                                              f"{raw.strip()!r}") from None
+                if fields[1] < "1":  # as in _parse
+                    _check_integers(line_no, raw.strip(), fields[1:])
+                continue
+            owner_s, target_s, trust_s, origin, hops_s = fields
+            try:
+                if owner_s != block:
+                    owner = int(owner_s)
+                target, hops = int(target_s), int(hops_s)
+                trust = float(trust_s)
             except ValueError:
-                raise ParseError(line_no, f"malformed field in {line!r}") from None
-            # as in _parse, only a field that sorts before "1" can be
-            # non-canonical; a node line's id is fields[1], an entry's hops
-            # fields[4]
-            if fields[0] < "1" or fields[1] < "1" or fields[-1] < "1":
-                _check_integers(line_no, line, fields[1:] if is_node
-                                else (fields[0], fields[1], fields[4]))
-            if is_node:
-                continue  # every dataset user has a table, listed or not
-            origin = fields[3]
-            if origin not in (DIRECT, INFERRED):
-                raise ParseError(line_no, f"unknown entry origin {origin!r}")
-            if hops < 1:
-                raise ParseError(line_no, f"hops {hops} below 1")
-            if (origin == DIRECT) != (hops == 1):  # hops 1 marks a direct entry
-                raise ParseError(line_no, f"{origin} entry with hops {hops}")
+                raise ParseError(line_no, f"malformed field in "
+                                          f"{raw.strip()!r}") from None
+            if owner_s < "1" or target_s < "1" or hops_s < "1":
+                _check_integers(line_no, raw.strip(), (owner_s, target_s, hops_s))
+            # hops 1 marks a direct entry
+            if origin != (DIRECT if hops == 1 else INFERRED) or hops < 1:
+                raise ParseError(line_no, _origin_defect(origin, hops))
             if not -1.0 <= trust <= 1.0:
                 raise ParseError(line_no, f"trust value {trust} outside [-1,1]")
             if owner == target:
                 raise ParseError(line_no, f"self entry of user {owner}")
-            for user in (owner, target):
-                if user not in tables:
-                    raise StaleSnapshotError(f"{path}: line {line_no}: user "
-                                             f"{user} is not in this run's input")
-            table = tables[owner]
+            if owner_s != block:
+                block, table, edges = owner_s, tables.get(owner), out.get(owner, ())
+            if table is None or target not in tables:
+                user = owner if table is None else target
+                raise StaleSnapshotError(f"{path}: line {line_no}: user "
+                                         f"{user} is not in this run's input")
             if target in table:
                 raise ParseError(line_no, f"repeated entry {owner} {target}")
-            if origin == INFERRED and 0.0 <= trust < config.store_threshold:
+            if hops == 1:
+                # save_snapshot lists an owner's direct entries in the order
+                # of its trust edges; a file in another order is searched
+                k = matched.get(owner, 0)
+                if (k < len(edges) and edges[k] == (target, trust)
+                        or (target, trust) in edges):
+                    matched[owner] = k + 1
+                else:
+                    differs.add(owner)
+            elif 0.0 <= trust < config.store_threshold:
                 # run_round never stores a positive value below the threshold
                 raise StaleSnapshotError(
                     f"{path}: line {line_no}: inferred trust {trust!r} is "
                     f"below this run's threshold={config.store_threshold!r}")
             table[target] = (trust, hops)
-    for user, direct in edges.items():
-        if {t: e for t, e in tables[user].items() if e[1] == 1} != direct:
-            raise StaleSnapshotError(f"{path}: direct trust of user {user} "
-                                     "differs from the trust input")
+    differs.update(user for user, edges in out.items()
+                   if matched.get(user, 0) != len(edges))
+    if differs:
+        raise StaleSnapshotError(f"{path}: direct trust of user {min(differs)} "
+                                 "differs from the trust input")
     return state

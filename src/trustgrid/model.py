@@ -78,20 +78,24 @@ class Dataset:
 
     def __init__(self, ratings=(), trust_edges=(), users=(), items=()):
         self.warnings = IngestWarnings()
-        self._ratings_by_user: dict[int, dict[int, int]] = {}
-        self._ratings_by_item: dict[int, dict[int, int]] = {}
-        self.users: set[int] = set(users)
-        self.items: set[int] = set(items)
-
+        by_user: dict[int, dict[int, int]] = {}
+        by_item: dict[int, dict[int, int]] = {}
         for user, item, value in ratings:
             check_rating(user, item, value)
-            self.users.add(user)
-            self.items.add(item)
-            by_user = self._ratings_by_user.setdefault(user, {})
-            if item in by_user:
-                self.warnings.duplicate_ratings += 1
-            by_user[item] = value
-            self._ratings_by_item.setdefault(item, {})[user] = value
+            row = by_user.get(user)
+            if row is None:
+                by_user[user] = {item: value}
+            else:
+                if item in row:
+                    self.warnings.duplicate_ratings += 1
+                row[item] = value
+            raters = by_item.get(item)
+            if raters is None:
+                by_item[item] = {user: value}
+            else:
+                raters[user] = value
+        self._ratings_by_user = by_user
+        self._ratings_by_item = by_item
 
         edges: dict[tuple[int, int], float] = {}
         for source, target, value in trust_edges:
@@ -99,11 +103,10 @@ class Dataset:
                 self.warnings.self_trust_edges += 1
                 continue
             check_trust_edge(source, target, value)
-            self.users.add(source)
-            self.users.add(target)
-            if (source, target) in edges:
-                self.warnings.duplicate_trust_edges += 1
+            n_edges = len(edges)
             edges[source, target] = value
+            if len(edges) == n_edges:  # an earlier edge was replaced
+                self.warnings.duplicate_trust_edges += 1
 
         # Propagation and the search baselines all walk these lists; building
         # them from the edges sorted by (source, target) fixes every walk's
@@ -115,6 +118,10 @@ class Dataset:
             if v > 0.0:
                 positive_out.setdefault(s, []).append((t, v))
                 positive_in.setdefault(t, []).append((s, v))
+
+        # zip(*edges) splits the (source, target) keys into sources and targets
+        self.users: set[int] = set(users).union(by_user, *zip(*edges))
+        self.items: set[int] = set(items).union(by_item)
 
     # -- counts -----------------------------------------------------------
 

@@ -1,8 +1,12 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import trustgrid
 from trustgrid import baselines, evaluation, propagation
 from trustgrid.cli import build_parser, main
 from trustgrid.ingest import load_dataset
@@ -619,6 +623,18 @@ def test_evaluate_builds_view_predicates_once(small_dataset, monkeypatch, method
     assert main(["evaluate", "--ratings", str(ratings), "--trust", str(trust),
                  "--method", method, "--view", "cold_start"]) == 0
     assert len(calls) == 1
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # evaluate imports ProcessPoolExecutor only to fork workers for --jobs > 1;
+    # loading concurrent.futures.process (multiprocessing, queues, threads)
+    # costs every other run its memory
+    src = os.path.dirname(os.path.dirname(trustgrid.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import trustgrid.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "False\n"
 
 
 # sha256 of `propagate --snapshot` bytes on three seeded synth graphs (none

@@ -1,4 +1,5 @@
 import io
+import re
 
 import pytest
 
@@ -284,7 +285,7 @@ def test_snapshot_line_not_plain_ascii_names_its_line(tmp_path, hops):
 
 
 @pytest.mark.parametrize("field", [
-    "round=x", "round=-0", "round=00", "converged=x", "converged=7",
+    "round=x", "round=-0", "round=00", "round=+0", "converged=x", "converged=7",
     "lambda=abc", "threshold=x", "lambda=na", "threshold=na",
 ])
 def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
@@ -294,7 +295,7 @@ def test_snapshot_bad_header_field_is_line_1(tmp_path, field):
               key: value}
     header = " ".join(f"{k}={v}" for k, v in fields.items())
     path.write_text(f"trustgrid-snapshot v1 {header}\nnode 0\n")
-    with pytest.raises(ParseError, match=f"^line 1: .*{key}='{value}'"):
+    with pytest.raises(ParseError, match=f"^line 1: .*{key}='{re.escape(value)}'"):
         load_snapshot(path, Dataset(), PropagationConfig())
 
 
@@ -399,3 +400,124 @@ def test_snapshot_header_extra_token_is_line_1(tmp_path, extra):
     path.write_text(f"trustgrid-snapshot v1 round=0 {SETTINGS} converged=0 {extra}\n")
     with pytest.raises(ParseError, match=f"^line 1: .*header token '{extra}'"):
         load_snapshot(path, Dataset(), PropagationConfig(max_rounds=0))
+
+
+# -- each reader takes one pass over its file -------------------------------
+
+# The trust edges the snapshot lines below are checked against.
+READER_EDGES = [(0, 1, 1.0), (0, 2, 0.5), (1, 2, 1.0)]
+SNAPSHOT_HEADER = f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=1"
+
+
+def _read(tmp_path, kind, body: bytes):
+    """Load `body` as the data lines of a `kind` file, after its first line
+    (a comment, or a snapshot's header), and return what was read."""
+    path = tmp_path / f"{kind}.txt"
+    first = SNAPSHOT_HEADER if kind == "snapshot" else "# first line"
+    path.write_bytes(first.encode() + b"\n" + body)
+    if kind == "snapshot":
+        return load_snapshot(path, Dataset([], READER_EDGES),
+                             PropagationConfig(max_rounds=1)).tables
+    ds = load_dataset(**{f"{kind}_path": path})
+    return ds.rating_list() if kind == "ratings" else ds.trust_edge_list()
+
+
+# per kind: three good data lines, one with a malformed field, and one whose
+# last field is a byte UTF-8 cannot decode
+READER_LINES = {
+    "ratings": (["0 10 1", "1 10 2", "2 11 3"], "0 10 x", b"0 10 \xff"),
+    "trust": (["0 1 1", "0 2 0.5", "1 2 1"], "0 9 x", b"0 9 \xff"),
+    "snapshot": (["0 1 1.0 direct 1", "0 2 0.5 direct 1", "1 2 1.0 direct 1"],
+                 "0 2 high inferred 2", b"1 0 0.9 inferred \xff"),
+}
+MALFORMED = {"ratings": "non-integer field in '0 10 x'",
+             "trust": "malformed field in '0 9 x'",
+             "snapshot": "malformed field in '0 2 high inferred 2'"}
+
+
+@pytest.mark.parametrize("kind", READER_LINES)
+@pytest.mark.parametrize("first", ["malformed", "not-plain"])
+def test_first_bad_line_wins_across_defect_kinds(tmp_path, kind, first):
+    good, malformed, not_plain = READER_LINES[kind]
+    bad = [malformed.encode(), not_plain]
+    if first == "not-plain":
+        bad.reverse()
+    # file lines 2 to 6; the bad ones are lines 3 and 5
+    lines = [good[0].encode(), bad[0], good[1].encode(), bad[1], good[2].encode()]
+    with pytest.raises(ParseError) as info:
+        _read(tmp_path, kind, b"".join(line + b"\n" for line in lines))
+    assert info.value.line_no == 3
+    if first == "malformed":
+        assert str(info.value) == f"line 3: {MALFORMED[kind]}"
+    else:
+        assert str(info.value).startswith("line 3: fields must be plain ASCII")
+
+
+@pytest.mark.parametrize("kind", READER_LINES)
+def test_crlf_blank_and_comment_lines_parse(tmp_path, kind):
+    good = READER_LINES[kind][0]
+    expected = _read(tmp_path, kind, "".join(f"{line}\n" for line in good).encode())
+    lines = ["", "# a comment", good[0], "   ", "\t# an indented comment",
+             f"  {good[1]}\t", "# ¬ ascii, which a comment may hold", good[2], ""]
+    assert _read(tmp_path, kind, "".join(f"{line}\r\n" for line in lines)
+                 .encode()) == expected
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("0 2 0.5 guessed 0", "unknown entry origin 'guessed'"),  # before hops
+    ("0 2 0.5 Direct 1", "unknown entry origin 'Direct'"),
+    ("0 2 0.5 direct 0", "hops 0 below 1"),
+    ("0 2 0.5 inferred -1", "hops -1 below 1"),
+    ("0 2 0.5 direct 2", "direct entry with hops 2"),
+    ("0 2 0.5 inferred 1", "inferred entry with hops 1"),
+])
+def test_snapshot_entry_origin_and_hops_defects(tmp_path, entry, message):
+    with pytest.raises(ParseError) as info:
+        _read(tmp_path, "snapshot", f"0 1 1.0 direct 1\n{entry}\n".encode())
+    assert str(info.value) == f"line 3: {message}"
+
+
+DIRECT_LINES = ["node 0", "0 1 1.0 direct 1", "0 2 0.5 direct 1",
+                "node 1", "1 2 1.0 direct 1", "node 2"]
+STALE_USER_0 = (StaleSnapshotError, "direct trust of user 0 differs from the trust input")
+
+
+@pytest.mark.parametrize("edit, refusal", [
+    ({2: None}, STALE_USER_0),                                 # missing
+    ({2: "0 2 0.25 direct 1"}, STALE_USER_0),                  # other value
+    ({5: "1 0 1.0 direct 1"},                                  # no such edge
+     (StaleSnapshotError, "direct trust of user 1 differs")),
+    ({4: "1 2 1.0 direct 1\n1 2 1.0 direct 1"},
+     (ParseError, "^line 7: repeated entry 1 2$")),
+    # users are checked in id order, not in the order their lines come
+    ({0: "node 1\n1 2 -1.0 direct 1\nnode 0", 2: None, 4: None}, STALE_USER_0),
+    # a line's own defect, even on a later line, is reported first
+    ({2: "0 2 0.25 direct 1", 5: "node x"},
+     (ParseError, "^line 7: malformed field in 'node x'$")),
+], ids=["missing", "other-value", "no-such-edge", "repeated", "user-order",
+        "line-defect-first"])
+def test_snapshot_direct_entry_not_the_trust_edge_is_refused(tmp_path, edit,
+                                                             refusal):
+    lines = [edit.get(n, line) for n, line in enumerate(DIRECT_LINES)]
+    body = "".join(f"{line}\n" for line in lines if line is not None)
+    error, message = refusal
+    with pytest.raises(error, match=message):
+        _read(tmp_path, "snapshot", body.encode())
+
+
+def test_snapshot_direct_entries_in_any_order_load(tmp_path):
+    lines = ["0 2 0.5 direct 1", "1 2 1.0 direct 1", "0 1 1.0 direct 1"]
+    tables = _read(tmp_path, "snapshot", "".join(f"{line}\n" for line in lines)
+                   .encode())
+    assert tables == {0: {2: (0.5, 1), 1: (1.0, 1)}, 1: {2: (1.0, 1)}, 2: {}}
+
+
+def test_snapshot_with_crlf_line_ends_round_trips(tmp_path):
+    ds = Dataset([], [(0, 1, 1.0), (1, 2, 0.813772), (2, 0, -0.25),
+                      (0, 3, 0.9), (3, 4, 1.0)])
+    config = PropagationConfig(store_threshold=0.3)
+    state = propagate(ds, config)
+    path = tmp_path / "state.snap"
+    save_snapshot(state, path, config)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_snapshot(path, ds, config) == state
