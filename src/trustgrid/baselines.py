@@ -252,8 +252,6 @@ def mole_trust_predict(a: int, item: int, weights: dict[int, float],
         return None
     num = sum(w * (raters[u] - dataset.mean_rating(u)) for u, w in contributors)
     den = sum(w for _, w in contributors)
-    if den == 0.0:
-        return None
     return min(RATING_MAX, max(RATING_MIN, a_mean + num / den))
 
 

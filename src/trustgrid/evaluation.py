@@ -203,14 +203,12 @@ def _predictor(dataset, state, method, horizon, user):
     elif method == "avg":
         def predict(item):
             return baselines.simple_average(user, item, dataset), None, None
-    elif method == "cf":
+    else:  # "cf"; callers check the method first
         co_ratings = baselines.co_rating_counts(user, dataset)
 
         def predict(item):
             return baselines.correlation_cf_predict(
                 user, item, dataset, co_ratings=co_ratings), None, None
-    else:
-        raise UnknownMethodError(f"unknown method {method!r}")
     return predict
 
 

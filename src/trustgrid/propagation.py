@@ -17,13 +17,14 @@ itself and its own, and, on a graph with negative edges, neg(x): the other
 targets a positive neighbour may hold negatively, since a negative value is
 always stored. Both depend on the trust adjacency alone, so such a run
 indexes them once, before its first round, and keeps each node's values in
-a row, a list with one slot per direct target and per indexed target,
-instead of a table: every round sums each slot from the neighbour slots the
-index pairs with it, and the last rows' stored targets are added to
-init_network's tables. A ys slot is always stored at hops 2; only a run
-with neg slots keeps a hops list beside each row. Otherwise, and always in
-run_round, which takes any state, every round rebuilds the tables and sums
-every target. The stored tables are the same, bit for bit, either way.
+a row, a list with one slot per direct target and then one segment of
+slots, ys(x) then neg(x), instead of a table: every round sums each
+segment slot from the neighbour slots the index pairs with it, in one walk
+and one storage loop for both kinds, and the last rows' stored targets are
+added to init_network's tables. A ys slot is always stored at hops 2, so
+only a run with neg slots keeps a hops list beside each row. Otherwise, and
+always in run_round, which takes any state, every round rebuilds the tables
+and sums every target. The stored tables are the same, bit for bit, either way.
 
 Direct trust is immutable input: a node finds its neighbors and their weights
 in the Dataset's trust adjacency, never in its own table. A table's direct
@@ -119,18 +120,17 @@ class _Index(NamedTuple):
     x and x's own direct targets. neg[x] holds every other target but x and
     x's direct targets that a positive neighbour of x may hold negatively
     (see _negative_reach): it is empty unless an edge is negative. x's row
-    is its direct targets, in adjacency order, then ys[x], then neg[x]; a
-    bounded run keeps one value per slot of it, None for a target x does
-    not store.
+    is its direct targets, in adjacency order, then its segment, ys[x] and
+    then neg[x]; a bounded run keeps one value per slot of it, None for a
+    target x does not store.
     """
 
     ys: dict[int, tuple[int, ...]]        # ascending
     neg: dict[int, tuple[int, ...]]       # ascending
-    pairs: dict[int, list]                # one (slots in ys[x], slots in
-    # i's row) pair of narrow integer arrays per positive neighbour i of x,
-    # in ascending i: one slot pair per target of i's row that is in ys[x]
-    neg_pairs: dict[int, list]            # the same for neg[x]; [] when
-    # neg[x] is empty
+    pairs: dict[int, list]                # one (slots in x's segment, slots
+    # in i's row) pair of narrow integer arrays per positive neighbour i of
+    # x, in ascending i: one slot pair per target of i's row that is in
+    # ys[x] or neg[x]
 
 
 def _narrow(slots, size):
@@ -178,8 +178,8 @@ def _negative_reach(dataset: Dataset, direct):
 
 def _build_index(dataset: Dataset) -> _Index:
     """The _Index of a Dataset's trust adjacency, built once per propagate
-    run that _bounded_index admits. Which slot of x's ys and neg each slot
-    of a neighbour's row feeds depends on the adjacency alone, so a bounded
+    run that _bounded_index admits. Which slot of x's segment each slot of
+    a neighbour's row feeds depends on the adjacency alone, so a bounded
     round finds it here instead of by target in a table."""
     out = dataset.trust_adjacency.out
     positive_out = dataset.trust_adjacency.positive_out
@@ -197,13 +197,10 @@ def _build_index(dataset: Dataset) -> _Index:
         beyond.difference_update(reach, direct[x], (x,))
         neg[x] = tuple(sorted(beyond))
     rows = {x: (*direct[x], *ys[x], *neg[x]) for x in dataset.users}
-    pairs = {}
-    neg_pairs = {}
-    for x in dataset.users:
-        neighbour_rows = [rows[i] for i, _ in positive_out.get(x, ())]
-        pairs[x] = _slot_pairs(ys[x], neighbour_rows)
-        neg_pairs[x] = _slot_pairs(neg[x], neighbour_rows) if neg[x] else []
-    return _Index(ys, neg, pairs, neg_pairs)
+    pairs = {x: _slot_pairs((*ys[x], *neg[x]),
+                            [rows[i] for i, _ in positive_out.get(x, ())])
+             for x in dataset.users}
+    return _Index(ys, neg, pairs)
 
 
 def _bounded_index(dataset: Dataset, config: PropagationConfig):
@@ -274,16 +271,17 @@ def _row_round(rows, dataset, config, index, hops):
     """One bounded round on rows (see _Index): (new rows, max_change,
     entries_added), as run_round gives them for the tables the rows hold.
 
-    x sums each slot of ys[x], then of neg[x], from the neighbour slots the
-    index pairs with it, in the order _node_sums adds them, so every stored
-    value is the same, bit for bit. Every neighbour holds its direct
-    targets, so no ys sum is empty and every stored ys entry is at hops 2:
-    the ys loop keeps no hops. A neg slot has no direct contributor, so its
-    sum may be empty (den 0: nothing stored), and it is stored at one more
-    than its contributors' fewest hops. `hops` holds those: for a run whose
-    index has a neg slot, {x: a list parallel to x's row}, which the round
-    brings to the new rows' hops in place (a slot's hops mean something
-    only while it stores a value); any other run passes None."""
+    x sums each slot of its segment, ys[x] then neg[x], from the neighbour
+    slots the index pairs with it, in the order _node_sums adds them, so
+    every stored value is the same, bit for bit. Every neighbour holds its
+    direct targets, so no ys sum is empty and every stored ys entry is at
+    hops 2. A neg slot has no direct contributor, so its sum may be empty
+    (den 0: nothing stored), and it is stored at one more than its
+    contributors' fewest hops. `hops` holds those: for a run whose index
+    has a neg slot, {x: a list parallel to x's row}, which the round brings
+    to the new rows' hops in place (a slot's hops mean something only while
+    it stores a value, and a ys slot's always come out 2); any other run
+    passes None, and its round keeps no hops."""
     positive_out = dataset.trust_adjacency.positive_out
     damping = config.damping
     threshold = config.store_threshold
@@ -293,23 +291,39 @@ def _row_round(rows, dataset, config, index, hops):
     entries_added = 0
 
     for x, old in rows.items():
-        n = len(index.ys[x])
+        n = len(index.ys[x]) + len(index.neg[x])
+        d = len(old) - n
         num = [0.0] * n
         den = [0.0] * n
-        for (i, w), (ps, qs) in zip(positive_out.get(x, ()), index.pairs[x]):
-            scale = w * damping
-            row = rows[i]
-            for p, q in zip(ps, qs):
-                trust = row[q]
-                if trust is not None:
-                    num[p] += scale * trust
-                    den[p] += w
-        m = len(index.neg[x])
-        d = len(old) - n - m
+        edges = zip(positive_out.get(x, ()), index.pairs[x])
+        if hops is None:
+            for (i, w), (ps, qs) in edges:
+                scale = w * damping
+                row = rows[i]
+                for p, q in zip(ps, qs):
+                    trust = row[q]
+                    if trust is not None:
+                        num[p] += scale * trust
+                        den[p] += w
+        else:
+            low = [sys.maxsize] * n  # fewest hops among the contributors
+            for (i, w), (ps, qs) in edges:
+                scale = w * damping
+                row = rows[i]
+                held = hops[i]
+                for p, q in zip(ps, qs):
+                    trust = row[q]
+                    if trust is not None:
+                        num[p] += scale * trust
+                        den[p] += w
+                        if held[q] < low[p]:
+                            low[p] = held[q]
+            new_hops[x] = hops[x][:d] + [1 + h for h in low]
         new = old[:d]  # direct values
         for prev, total, weight in zip(islice(old, d, None), num, den):
-            value = total / weight
-            if 0.0 <= value < threshold:  # too weak to store
+            # den 0: no neighbour holds the target (only a neg slot's sum
+            # can be empty); a value in [0, threshold) is too weak to store
+            if not weight or 0.0 <= (value := total / weight) < threshold:
                 new.append(None)
                 if prev is not None and abs(prev) > max_change:
                     max_change = abs(prev)
@@ -323,43 +337,6 @@ def _row_round(rows, dataset, config, index, hops):
             if change > max_change:
                 max_change = change
         new_rows[x] = new
-        if not m:
-            continue
-
-        num = [0.0] * m
-        den = [0.0] * m
-        low = [sys.maxsize] * m  # fewest hops among the contributors
-        for (i, w), (ps, qs) in zip(positive_out.get(x, ()), index.neg_pairs[x]):
-            scale = w * damping
-            row = rows[i]
-            held = hops[i]
-            for p, q in zip(ps, qs):
-                trust = row[q]
-                if trust is not None:
-                    num[p] += scale * trust
-                    den[p] += w
-                    if held[q] < low[p]:
-                        low[p] = held[q]
-        for prev, total, weight in zip(islice(old, d + n, None), num, den):
-            if not weight:  # no neighbour holds the target this round
-                value = None
-            else:
-                value = total / weight
-                if 0.0 <= value < threshold:
-                    value = None
-            new.append(value)
-            if value is None:
-                if prev is not None and abs(prev) > max_change:
-                    max_change = abs(prev)
-                continue
-            if prev is None:
-                entries_added += 1
-                change = abs(value)
-            else:
-                change = abs(prev - value)
-            if change > max_change:
-                max_change = change
-        new_hops[x] = hops[x][:d + n] + [1 + h for h in low]
 
     if hops is not None:  # once no node reads the old hops any more
         hops.update(new_hops)

@@ -615,18 +615,25 @@ def test_mostly_positive_graph_matches_reference_rounds(monkeypatch):
     assert deep > 0
 
 
-@pytest.mark.parametrize("value, tracked", [(1.0, False), (-0.0, False),
-                                            (-1.0, True)])
-def test_rows_keep_hops_only_for_what_distrust_reaches(monkeypatch, value,
+def chain(value):
+    return [(0, 1, 1.0), (1, 2, 1.0), (2, 3, value)]
+
+
+@pytest.mark.parametrize("edges, tracked", [
+    (chain(1.0), False), (chain(-0.0), False), (chain(-1.0), True),
+    # a negative edge, but 1 holds 2 at hops 1, so 0 has 2 in ys, not neg
+    ([(0, 1, 1.0), (1, 2, -1.0)], False),
+], ids=["1.0-False", "-0.0-False", "-1.0-True", "direct-negative-False"])
+def test_rows_keep_hops_only_for_what_distrust_reaches(monkeypatch, edges,
                                                        tracked):
     # on the chain 0 -> 1 -> 2 -> 3 only a negative trust from 2 in 3 gives
     # 0 a neg slot for 3, and only a run with a neg slot keeps hops
-    ds = Dataset([], [(0, 1, 1.0), (1, 2, 1.0), (2, 3, value)])
+    ds = Dataset([], edges)
     passed = record_hops(monkeypatch)
     assert_propagate_matches_reference(ds, PropagationConfig(), 3)
     assert passed and {hops is not None for hops in passed} == {tracked}
     neg = propagation._build_index(ds).neg
-    assert neg == {0: (3,) if tracked else (), 1: (), 2: (), 3: ()}
+    assert neg == {x: (3,) if tracked and x == 0 else () for x in ds.users}
 
 
 def test_neg_slot_stores_one_more_than_its_fewest_contributor_hops():
@@ -668,9 +675,27 @@ def test_propagate_on_neg_slots_wider_than_a_byte(monkeypatch):
             ds, PropagationConfig(store_threshold=threshold), 4)
         assert set(seen) == {"rows"}
     index = propagation._build_index(ds)
-    (ps, qs), = index.neg_pairs[0]
+    (ps, qs), = index.pairs[0]
     assert len(index.neg[0]) > 256 and len(ps) > 256
     assert (type(ps), ps.typecode) == (type(qs), qs.typecode) == (array, "H")
+
+
+def test_propagate_on_a_segment_only_its_two_kinds_make_wider_than_a_byte(
+        monkeypatch):
+    # 0's ys holds 1's 200 direct targets and its neg the 100 users 2
+    # distrusts: each kind of slot fits a byte, but 0's segment of 300
+    # slots does not, so its slot pairs take their width from the segment
+    edges = {(0, 1): 1.0, **{(1, t): 1.0 for t in range(2, 202)},
+             **{(2, u): -1.0 for u in range(202, 302)}}
+    ds = edges_dataset(edges)
+    index = propagation._build_index(ds)
+    assert (len(index.ys[0]), len(index.neg[0])) == (200, 100)
+    (ps, qs), = index.pairs[0]
+    assert len(ps) == 300
+    assert (type(ps), ps.typecode) == (array, "H")
+    seen = record_kernels(monkeypatch)
+    assert_propagate_matches_reference(ds, PropagationConfig(), 4)
+    assert set(seen) == {"rows"}
 
 
 def converging_runs(tolerance):
