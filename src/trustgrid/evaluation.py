@@ -191,7 +191,8 @@ def _predictor(dataset, state, method, horizon, user):
             res = baselines.tidal_trust_recommend(user, item, dataset, search=search)
             if res.predicted is None:
                 return None, None, None
-            others = sum(1 for u in dataset.item_raters(item) if u != user)
+            raters = dataset.item_raters(item)
+            others = len(raters) - (user in raters)
             recall = len(res.raters_considered) / others
             return res.predicted, res.depth, recall
     elif method == "mole":

@@ -87,6 +87,12 @@ def _parse(stream, cast, check, bad_field):
                 or cast is int and fields[2] < "1"):
             _check_integers(line_no, raw.strip(),
                             fields if cast is int else fields[:2])
+        # a nonzero trust spelling that rounds to zero, such as 1e-400,
+        # would silently leave the positive (or negative) adjacency
+        if (not record[2] and cast is float
+                and fields[2].lower().partition("e")[0].strip("+-.0")):
+            raise ParseError(line_no, f"trust value {fields[2]!r} rounds to "
+                                      f"{record[2]!r} in {raw.strip()!r}")
         try:
             check(*record)
         except ValueError as exc:
@@ -340,15 +346,15 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     entries a snapshot lists for it, and its direct entries must equal the
     user's trust edges. StaleSnapshotError when the snapshot's damping,
     storage threshold, round or entries do not fit this run. The file is
-    read in one pass; each direct line is checked against the trust edges
-    as it is read, but a mismatch is reported only after every line has
-    passed its own checks, so a line's defect is reported first."""
+    read in one pass. After its last line, each user's direct entries, in
+    any order, are compared once with its trust edges, so a line's defect
+    is reported before any user's mismatch, and the smallest such user is
+    named."""
     out = dataset.trust_adjacency.out
     tables = {user: {} for user in sorted(dataset.users)}
     state = NetworkState(tables)
-    matched = {}    # owner -> how many of its trust edges a direct line equals
-    differs = set()  # owners with a direct line that equals no trust edge
-    # an owner's entry lines come together, so its id, table and trust edges
+    direct = {}  # owner -> its direct lines' (target, trust), in file order
+    # an owner's entry lines come together, so its id, table and direct list
     # are looked up once per run of lines with the same owner field, `block`
     block = None
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -409,7 +415,8 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
             if owner == target:
                 raise ParseError(line_no, f"self entry of user {owner}")
             if owner_s != block:
-                block, table, edges = owner_s, tables.get(owner), out.get(owner, ())
+                block, table = owner_s, tables.get(owner)
+                listed = direct.setdefault(owner, [])
             if table is None or target not in tables:
                 user = owner if table is None else target
                 raise StaleSnapshotError(f"{path}: line {line_no}: user "
@@ -417,23 +424,19 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
             if target in table:
                 raise ParseError(line_no, f"repeated entry {owner} {target}")
             if hops == 1:
-                # save_snapshot lists an owner's direct entries in the order
-                # of its trust edges; a file in another order is searched
-                k = matched.get(owner, 0)
-                if (k < len(edges) and edges[k] == (target, trust)
-                        or (target, trust) in edges):
-                    matched[owner] = k + 1
-                else:
-                    differs.add(owner)
+                listed.append((target, trust))
             elif 0.0 <= trust < config.store_threshold:
                 # run_round never stores a positive value below the threshold
                 raise StaleSnapshotError(
                     f"{path}: line {line_no}: inferred trust {trust!r} is "
                     f"below this run's threshold={config.store_threshold!r}")
             table[target] = (trust, hops)
-    differs.update(user for user, edges in out.items()
-                   if matched.get(user, 0) != len(edges))
-    if differs:
-        raise StaleSnapshotError(f"{path}: direct trust of user {min(differs)} "
-                                 "differs from the trust input")
+    # a target is never repeated and an owner's trust edges are sorted by
+    # target, so the direct lines match them exactly when sorted they are
+    # equal; save_snapshot writes them in that order, so sorting is rare
+    for user in tables:
+        listed, edges = direct.get(user, []), out.get(user, [])
+        if listed != edges and sorted(listed) != edges:
+            raise StaleSnapshotError(f"{path}: direct trust of user {user} "
+                                     "differs from the trust input")
     return state

@@ -64,7 +64,8 @@ def recommend(state: NetworkState, x: int, item: int,
     num = sum(t * r for _, t, r in contributors)
     den = sum(t for _, t, _ in contributors)
     predicted = num / den
-    other_raters = sum(1 for u in dataset.item_raters(item) if u != x)
+    raters = dataset.item_raters(item)
+    other_raters = len(raters) - (x in raters)
     return Recommendation(
         user=x,
         item=item,

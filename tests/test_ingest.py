@@ -1,4 +1,5 @@
 import io
+import math
 import re
 
 import pytest
@@ -59,12 +60,23 @@ def test_parse_trust_out_of_range():
     ("7 9 -1.5", "trust value -1.5 outside [-1,1]"),
     ("-7 9 1", "user ids must be non-negative"),
     ("7 9 x", "malformed field in '7 9 x'"),
-], ids=["nan", "below-minus-1", "negative-source", "malformed"])
+    ("7 9 1e-400", "trust value '1e-400' rounds to 0.0 in '7 9 1e-400'"),
+    ("7 9 -1E-400", "trust value '-1E-400' rounds to -0.0 in '7 9 -1E-400'"),
+], ids=["nan", "below-minus-1", "negative-source", "malformed",
+        "underflow-positive", "underflow-negative"])
 def test_parse_trust_invalid_record_names_line(bad, message):
     with pytest.raises(ParseError) as info:
         parse_trust(io.StringIO(f"7 9 1\n{bad}\n"))
     assert str(info.value) == f"line 2: {message}"
     assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize("field", ["0", "0.0", "-0.0", "0e5", "4.9e-324"])
+def test_parse_trust_zero_spellings_and_subnormals_load(field):
+    # only a nonzero spelling that rounds to zero is refused
+    (edge,) = parse_trust(io.StringIO(f"7 9 {field}\n"))
+    assert edge == (7, 9, float(field))
+    assert math.copysign(1.0, edge[2]) == math.copysign(1.0, float(field))
 
 
 @pytest.mark.parametrize("field", ["+10", "010", "00", "-0", "-010"])
@@ -485,6 +497,8 @@ STALE_USER_0 = (StaleSnapshotError, "direct trust of user 0 differs from the tru
 @pytest.mark.parametrize("edit, refusal", [
     ({2: None}, STALE_USER_0),                                 # missing
     ({2: "0 2 0.25 direct 1"}, STALE_USER_0),                  # other value
+    # out of order, so only the sorted lines are compared with the edges
+    ({1: "0 2 0.25 direct 1", 2: "0 1 1.0 direct 1"}, STALE_USER_0),
     ({5: "1 0 1.0 direct 1"},                                  # no such edge
      (StaleSnapshotError, "direct trust of user 1 differs")),
     ({4: "1 2 1.0 direct 1\n1 2 1.0 direct 1"},
@@ -494,7 +508,7 @@ STALE_USER_0 = (StaleSnapshotError, "direct trust of user 0 differs from the tru
     # a line's own defect, even on a later line, is reported first
     ({2: "0 2 0.25 direct 1", 5: "node x"},
      (ParseError, "^line 7: malformed field in 'node x'$")),
-], ids=["missing", "other-value", "no-such-edge", "repeated", "user-order",
+], ids=["missing", "other-value", "reordered-other-value", "no-such-edge", "repeated", "user-order",
         "line-defect-first"])
 def test_snapshot_direct_entry_not_the_trust_edge_is_refused(tmp_path, edit,
                                                              refusal):
@@ -510,6 +524,17 @@ def test_snapshot_direct_entries_in_any_order_load(tmp_path):
     tables = _read(tmp_path, "snapshot", "".join(f"{line}\n" for line in lines)
                    .encode())
     assert tables == {0: {2: (0.5, 1), 1: (1.0, 1)}, 1: {2: (1.0, 1)}, 2: {}}
+
+
+@pytest.mark.parametrize("edge, line", [(0.0, "-0.0"), (-0.0, "0.0")])
+def test_snapshot_direct_zero_of_either_sign_loads(tmp_path, edge, line):
+    # a direct entry equals its trust edge by ==, under which -0.0 == 0.0
+    path = tmp_path / "net.snap"
+    path.write_text(f"trustgrid-snapshot v1 round=1 {SETTINGS} converged=1\n"
+                    f"0 1 {line} direct 1\n")
+    state = load_snapshot(path, Dataset([], [(0, 1, edge)]),
+                          PropagationConfig(max_rounds=1))
+    assert state.tables == {0: {1: (float(line), 1)}, 1: {}}
 
 
 def test_snapshot_with_crlf_line_ends_round_trips(tmp_path):

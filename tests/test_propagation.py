@@ -762,3 +762,18 @@ def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
             assert bits(got.tables) == bits(state.tables)
     assert min(converged.values()) >= 20
     assert dropped_as_it_converged > 0
+
+
+@pytest.mark.parametrize("size, kind", [
+    (256, bytes), (257, "H"), (65536, "H"), (65537, "L"),
+])
+def test_narrow_takes_the_narrowest_width_that_holds_the_size(size, kind):
+    # slots lie below `size`, so the largest is size - 1; an Epinions-size
+    # graph has segments wider than 65536 slots
+    slots = [0, 1, size // 2, size - 1]
+    narrowed = propagation._narrow(slots, size)
+    if kind is bytes:
+        assert type(narrowed) is bytes
+    else:
+        assert (type(narrowed), narrowed.typecode) == (array, kind)
+    assert list(narrowed) == slots
