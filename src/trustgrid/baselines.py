@@ -121,7 +121,7 @@ def _path_trust(source, sink, dist, dataset):
     # same-level neighbour may already be in `trust`, hence the level test
     trust: dict[int, float] = {}
     for level in range(depth - 1, -1, -1):
-        for u in sorted(by_level[level]):
+        for u in by_level[level]:
             num = 0.0
             den = 0.0
             for v, w in adj.get(u, ()):
@@ -313,9 +313,10 @@ def correlation_cf_predict(a: int, item: int, dataset: Dataset,
 
 
 def simple_average(user: int, item: int, dataset: Dataset) -> float | None:
-    """Plain mean of the item's ratings by raters other than `user`."""
+    """Plain mean of the item's ratings by raters other than `user`, None
+    if there are none; ratings are integers, so their sum less `user`'s is exact."""
     raters = dataset.item_raters(item)
-    values = [v for u, v in raters.items() if u != user]
-    if not values:
+    count = len(raters) - (user in raters)
+    if not count:
         return None
-    return sum(values) / len(values)
+    return (sum(raters.values()) - raters.get(user, 0)) / count

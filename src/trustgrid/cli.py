@@ -397,7 +397,3 @@ def main(argv=None) -> int:
     except (TrustgridError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return EXIT_DATA
-
-
-if __name__ == "__main__":
-    sys.exit(main())

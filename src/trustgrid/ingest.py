@@ -354,6 +354,7 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
     tables = {user: {} for user in sorted(dataset.users)}
     state = NetworkState(tables)
     direct = {}  # owner -> its direct lines' (target, trust), in file order
+    zeros = []  # (owner, target) of direct lines whose trust is 0.0 or -0.0
     # an owner's entry lines come together, so its id, table and direct list
     # are looked up once per run of lines with the same owner field, `block`
     block = None
@@ -425,6 +426,8 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
                 raise ParseError(line_no, f"repeated entry {owner} {target}")
             if hops == 1:
                 listed.append((target, trust))
+                if not trust:
+                    zeros.append((owner, target))
             elif 0.0 <= trust < config.store_threshold:
                 # run_round never stores a positive value below the threshold
                 raise StaleSnapshotError(
@@ -439,4 +442,7 @@ def load_snapshot(path, dataset: Dataset, config) -> NetworkState:
         if listed != edges and sorted(listed) != edges:
             raise StaleSnapshotError(f"{path}: direct trust of user {user} "
                                      "differs from the trust input")
+    # -0.0 == 0.0 above, so a zero entry takes its edge's own sign here
+    for owner, target in zeros:
+        tables[owner][target] = (dict(out[owner])[target], 1)
     return state

@@ -147,15 +147,15 @@ class Dataset:
     def mean_rating(self, user: int, exclude_item: int | None = None) -> float:
         """Arithmetic mean of the user's rating values.
 
-        `exclude_item` drops one item from the profile first (used by
-        leave-one-out evaluation). Raises NoRatingsError when nothing remains.
+        `exclude_item` leaves one item's rating out (used by leave-one-out
+        evaluation); ratings are integers, so subtracting it from the sum is
+        exact. Raises NoRatingsError when no rating remains.
         """
         profile = self.user_ratings(user)
-        if exclude_item is not None:
-            profile = {i: v for i, v in profile.items() if i != exclude_item}
-        if not profile:
+        count = len(profile) - (exclude_item in profile)
+        if not count:
             raise NoRatingsError(f"user {user} has no ratings")
-        return sum(profile.values()) / len(profile)
+        return (sum(profile.values()) - profile.get(exclude_item, 0)) / count
 
     def item_raters(self, item: int) -> dict[int, int]:
         """All (user -> value) ratings of `item`; empty map if unrated."""

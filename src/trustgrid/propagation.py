@@ -268,8 +268,8 @@ def _bounded_index(dataset: Dataset, config: PropagationConfig):
 
 
 def _row_round(rows, dataset, config, index, hops):
-    """One bounded round on rows (see _Index): (new rows, max_change,
-    entries_added), as run_round gives them for the tables the rows hold.
+    """One bounded round on rows (see _Index): (new rows, max_change), as
+    run_round gives max_change for the tables the rows hold.
 
     x sums each slot of its segment, ys[x] then neg[x], from the neighbour
     slots the index pairs with it, in the order _node_sums adds them, so
@@ -288,7 +288,6 @@ def _row_round(rows, dataset, config, index, hops):
     new_rows = {}
     new_hops = {}
     max_change = 0.0
-    entries_added = 0
 
     for x, old in rows.items():
         n = len(index.ys[x]) + len(index.neg[x])
@@ -329,18 +328,14 @@ def _row_round(rows, dataset, config, index, hops):
                     max_change = abs(prev)
                 continue
             new.append(value)
-            if prev is None:
-                entries_added += 1
-                change = abs(value)
-            else:
-                change = abs(prev - value)
+            change = abs(value if prev is None else prev - value)
             if change > max_change:
                 max_change = change
         new_rows[x] = new
 
     if hops is not None:  # once no node reads the old hops any more
         hops.update(new_hops)
-    return new_rows, max_change, entries_added
+    return new_rows, max_change
 
 
 def run_round(state: NetworkState, dataset: Dataset, config: PropagationConfig):
@@ -424,7 +419,7 @@ def propagate(dataset: Dataset, config: PropagationConfig | None = None) -> Netw
         if index is None:
             state, max_change, _ = run_round(state, dataset, config)
         else:
-            rows, max_change, _ = _row_round(rows, dataset, config, index, hops)
+            rows, max_change = _row_round(rows, dataset, config, index, hops)
             state.round += 1
         if max_change <= config.tolerance:
             state.converged = True

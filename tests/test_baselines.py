@@ -484,6 +484,24 @@ def test_simple_average_exclude_only_rater():
     assert simple_average(0, 7, ds) is None
 
 
+def test_simple_average_leaves_the_user_out_bit_for_bit():
+    # the mean less the user's rating equals the mean of a copy without it,
+    # for a user who rated the item and for one who did not (user 40)
+    rng = random.Random(5)
+    ratings = [(u, i, rng.randint(1, 5)) for u in range(40) for i in range(60)
+               if rng.random() < 0.2]
+    ds = Dataset(ratings, users=[40])
+    for item in sorted(ds.items):
+        raters = ds.item_raters(item)
+        for user in (*raters, 40):
+            rest = [v for u, v in raters.items() if u != user]
+            expected = sum(rest) / len(rest) if rest else None
+            assert simple_average(user, item, ds) == expected
+    ds = Dataset([(0, 7, 4), (0, 8, 2), (1, 8, 5)])
+    assert simple_average(0, 7, ds) is None
+    assert simple_average(0, 8, ds) == 5.0
+
+
 def test_simple_average_consensus():
     ds = Dataset([(0, 7, 5), (1, 7, 5), (2, 7, 5)], users=[9])
     assert simple_average(9, 7, ds) == 5.0

@@ -537,6 +537,23 @@ def test_snapshot_direct_zero_of_either_sign_loads(tmp_path, edge, line):
     assert state.tables == {0: {1: (float(line), 1)}, 1: {}}
 
 
+@pytest.mark.parametrize("edge, line", [(0.0, "-0.0"), (-0.0, "0.0")])
+def test_snapshot_direct_zero_of_either_sign_resaves_the_fresh_bytes(
+        tmp_path, edge, line):
+    # the loaded entry holds the trust edge's zero, not the line's
+    ds = Dataset([], [(0, 1, edge), (1, 2, 1.0)])
+    config = PropagationConfig()
+    fresh = tmp_path / "fresh.snap"
+    save_snapshot(propagate(ds, config), fresh, config)
+    flipped = tmp_path / "flipped.snap"
+    flipped.write_text(fresh.read_text().replace(
+        f"0 1 {edge!r} direct 1\n", f"0 1 {line} direct 1\n"))
+    assert flipped.read_bytes() != fresh.read_bytes()
+    resaved = tmp_path / "resaved.snap"
+    save_snapshot(load_snapshot(flipped, ds, config), resaved, config)
+    assert resaved.read_bytes() == fresh.read_bytes()
+
+
 def test_snapshot_with_crlf_line_ends_round_trips(tmp_path):
     ds = Dataset([], [(0, 1, 1.0), (1, 2, 0.813772), (2, 0, -0.25),
                       (0, 3, 0.9), (3, 4, 1.0)])

@@ -22,6 +22,24 @@ def test_mean_rating_no_ratings():
         ds.mean_rating(2)
 
 
+def test_mean_rating_leaves_one_item_out_bit_for_bit():
+    # the mean less one rating equals the mean of a copy without it, for an
+    # item the user rated and for one it did not (item 60, rated by no one)
+    rng = random.Random(5)
+    ratings = [(u, i, rng.randint(1, 5)) for u in range(40) for i in range(60)
+               if rng.random() < 0.2]
+    ds = Dataset(ratings)
+    for user in sorted(ds.users):
+        profile = ds.user_ratings(user)
+        for item in (*profile, 60):
+            rest = [v for i, v in profile.items() if i != item]
+            assert ds.mean_rating(user, exclude_item=item) == sum(rest) / len(rest)
+    ds = Dataset([(0, 1, 4), (1, 1, 2), (1, 2, 5)])
+    with pytest.raises(NoRatingsError):
+        ds.mean_rating(0, exclude_item=1)
+    assert ds.mean_rating(1, exclude_item=1) == 5.0
+
+
 def test_item_raters():
     ds = Dataset([(1, 10, 4), (2, 10, 2), (1, 11, 5)])
     assert set(ds.item_raters(10).items()) == {(1, 4), (2, 2)}

@@ -731,8 +731,8 @@ def converging_runs(tolerance):
 
 def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
     # propagate's round and converged come from each row round's own
-    # max_change, which must equal run_round's, as must entries_added,
-    # including in a round that converges though it drops an entry
+    # max_change, which must equal run_round's, including in a round that
+    # converges though it drops an entry
     row_rounds = []
     row_round = propagation._row_round
     monkeypatch.setattr(propagation, "_row_round", lambda *args: (
@@ -745,8 +745,8 @@ def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
             steps = []
             for _ in range(config.max_rounds):
                 previous = state
-                state, change, added = run_round(state, ds, config)
-                steps.append((struct.pack("<d", change), added))
+                state, change, _ = run_round(state, ds, config)
+                steps.append(struct.pack("<d", change))
                 if change <= tolerance:
                     state.converged = True
                     break
@@ -756,8 +756,8 @@ def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
                                                 - inferred_map(state).keys())
             row_rounds.clear()
             got = propagate(ds, config)
-            assert [(struct.pack("<d", change), added)
-                    for _, change, added in row_rounds] == steps
+            assert [struct.pack("<d", change)
+                    for _, change in row_rounds] == steps
             assert (got.round, got.converged) == (state.round, state.converged)
             assert bits(got.tables) == bits(state.tables)
     assert min(converged.values()) >= 20
@@ -768,8 +768,9 @@ def test_propagate_on_rows_converges_as_run_round_does(monkeypatch):
     (256, bytes), (257, "H"), (65536, "H"), (65537, "L"),
 ])
 def test_narrow_takes_the_narrowest_width_that_holds_the_size(size, kind):
-    # slots lie below `size`, so the largest is size - 1; an Epinions-size
-    # graph has segments wider than 65536 slots
+    # slots lie below `size`, so the largest is size - 1. A row holds at most
+    # n - 1 targets, so "L" takes more than 65,537 users: at the Epinions
+    # size (49,290 users) every slot array is bytes or "H"
     slots = [0, 1, size // 2, size - 1]
     narrowed = propagation._narrow(slots, size)
     if kind is bytes:
